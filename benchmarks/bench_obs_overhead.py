@@ -201,7 +201,6 @@ def _serve_replay(requests: List, tracing: bool) -> float:
     config = ServeConfig(
         max_queue_depth=max(2 * len(requests), 64),
         max_batch_size=32,
-        max_wait_s=0.002,
         cache_entries=0,
     )
     try:

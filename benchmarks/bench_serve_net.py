@@ -104,7 +104,7 @@ def _server_config(shards: int) -> NetServeConfig:
         shards=shards,
         worker_mode="process",
         max_inflight_per_shard=MAX_INFLIGHT_PER_SHARD,
-        engine=ServeConfig(max_wait_s=0.002, cache_entries=0),
+        engine=ServeConfig(cache_entries=0),
     )
 
 

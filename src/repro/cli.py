@@ -210,12 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-batch-size", type=int, default=32, help="per-shard fused batch bound"
     )
     serve_parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="per-shard batching window in milliseconds (default: 2.0)",
-    )
-    serve_parser.add_argument(
         "--max-inflight",
         type=int,
         default=256,
@@ -304,12 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="1,8,32",
         metavar="N,N,...",
         help="max_batch_size settings to measure (default: 1,8,32)",
-    )
-    serve_bench_parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="batching window in milliseconds (default: 2.0)",
     )
     serve_bench_parser.add_argument("--seed", type=int, default=0, help="random seed")
     serve_bench_parser.add_argument(
@@ -645,7 +633,6 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
         reads=args.reads,
         batch_sizes=batch_sizes,
         seed=args.seed,
-        max_wait_s=args.max_wait_ms / 1e3,
     )
     print(f"== serve-bench: {requests} requests x {args.reads} reads ==")
     for size in batch_sizes:
@@ -674,10 +661,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             shards=args.shards,
-            engine=ServeConfig(
-                max_batch_size=args.max_batch_size,
-                max_wait_s=args.max_wait_ms / 1e3,
-            ),
+            engine=ServeConfig(max_batch_size=args.max_batch_size),
             worker_mode=args.worker_mode,
             max_inflight_per_shard=args.max_inflight,
             drain_grace_s=args.drain_grace_s,

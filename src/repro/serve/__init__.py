@@ -1,14 +1,15 @@
 """In-process serving engine with dynamic micro-batching.
 
 The ROADMAP's serving tier: concurrent :class:`EstimationRequest`
-traffic enters a bounded admission queue, a batcher thread groups
-compatible requests by ``(estimator, config_hash, dim)`` inside a
-max-wait/max-batch window, and batchable groups (batch LION with the
-WLS solver) execute as one fused stacked-IRLS dispatch — bit-identical
-to the scalar path, several times the throughput at paper-scale batch
-sizes. See ``docs/serving.md`` for architecture and tuning, and
-``lion serve-bench`` / ``benchmarks/bench_serve.py`` for the load
-generator behind ``BENCH_serve.json``.
+traffic enters a bounded admission queue, a work-conserving batcher
+thread groups the compatible requests already queued by ``(estimator,
+config_hash, dim)`` (up to ``max_batch_size``, never waiting for more),
+and batchable groups (batch LION with the WLS solver) execute as one
+fused stacked-IRLS dispatch — bit-identical to the scalar path, several
+times the throughput at paper-scale batch sizes. See ``docs/serving.md``
+for architecture and tuning, and ``lion serve-bench`` /
+``benchmarks/bench_serve.py`` for the load generator behind
+``BENCH_serve.json``.
 
 The network tier lives in :mod:`repro.serve.net`: an asyncio HTTP front
 end sharding requests by ``(estimator, config_hash)`` across worker

@@ -52,7 +52,7 @@ def build_requests(count: int, reads: int, seed: int = 0) -> List[EstimationRequ
 
 
 def _replay(
-    requests: Sequence[EstimationRequest], batch_size: int, max_wait_s: float
+    requests: Sequence[EstimationRequest], batch_size: int
 ) -> Tuple[Dict[str, float], List[EstimationReport]]:
     """Push one burst of requests through one engine; stats + reports.
 
@@ -68,7 +68,6 @@ def _replay(
     config = ServeConfig(
         max_queue_depth=max(2 * len(requests), 64),
         max_batch_size=batch_size,
-        max_wait_s=max_wait_s,
         cache_entries=0,
     )
     done_at: List[float] = [0.0] * len(requests)
@@ -123,7 +122,6 @@ def run_load(
     reads: int = 400,
     batch_sizes: Sequence[int] = (1, 8, 32),
     seed: int = 0,
-    max_wait_s: float = 0.002,
     check: int = 8,
 ) -> Dict[str, Any]:
     """Replay one request stream at every batch size; JSON-ready payload.
@@ -134,7 +132,6 @@ def run_load(
         batch_sizes: ``max_batch_size`` settings to measure; include 1
             for the single-request-dispatch baseline.
         seed: base seed of the re-noised phase streams.
-        max_wait_s: batching window of every replayed engine.
         check: how many requests to verify bit-identical against the
             direct scalar path (0 disables).
 
@@ -147,7 +144,7 @@ def run_load(
     batch: Dict[str, Dict[str, float]] = {}
     sample: List[EstimationReport] = []
     for batch_size in batch_sizes:
-        stats, reports = _replay(stream, batch_size, max_wait_s)
+        stats, reports = _replay(stream, batch_size)
         batch[str(batch_size)] = stats
         sample = reports
 
@@ -161,7 +158,6 @@ def run_load(
         "benchmark": "serve_microbatch",
         "requests": requests,
         "reads": reads,
-        "max_wait_s": max_wait_s,
         "cpu_count": os.cpu_count(),
         "batch": batch,
         "equivalence_checked": min(check, requests),
@@ -171,7 +167,6 @@ def run_load(
                 "requests": requests,
                 "reads": reads,
                 "batch_sizes": list(batch_sizes),
-                "max_wait_s": max_wait_s,
             },
         ).to_dict(),
     }

@@ -13,11 +13,14 @@ Request path::
 or bad configs), consults the LRU result cache, and enqueues into a
 bounded queue — at depth it raises :class:`QueueFullError` instead of
 buffering unboundedly, making backpressure the caller's explicit
-decision. A single batcher thread pops the head-of-line group
-``(estimator, config_hash, dim)``, waits up to ``max_wait_s`` for the
-group to fill to ``max_batch_size`` (batchable groups only; scalar
-groups dispatch immediately), then executes: batchable groups through
-the fused path of :mod:`repro.serve.batching`, scalar groups through a
+decision. A single batcher thread is work-conserving: the moment it is
+free it pops the head-of-line group ``(estimator, config_hash, dim)``
+together with every compatible request already queued (up to
+``max_batch_size``) and executes it — it never holds a request back
+waiting for batchmates. Under load, batches fill with the requests that
+queued behind the previous dispatch; an idle engine dispatches a lone
+request at once. Batchable groups run through the fused path of
+:mod:`repro.serve.batching`, scalar groups through a
 :mod:`repro.parallel` executor with per-member exception isolation.
 Members whose fused slot failed — or whose whole batch raised
 unexpectedly — are retried individually on the scalar path, so one bad
@@ -123,12 +126,9 @@ class ServeConfig:
     Attributes:
         max_queue_depth: admission-queue bound; ``submit`` beyond it
             raises :class:`QueueFullError`.
-        max_batch_size: requests fused into one dispatch, and the fill
-            target the batcher waits for.
-        max_wait_s: how long the batcher holds an unfilled *batchable*
-            group open for more compatible arrivals. The throughput/
-            latency dial: larger windows fill bigger batches, every
-            member pays the wait. Scalar groups never wait.
+        max_batch_size: most requests fused into one dispatch. The
+            batcher takes whatever compatible requests are queued when it
+            is free, up to this bound; it never waits for more.
         cache_entries: LRU result-cache capacity; ``0`` disables caching.
         scalar_executor: :mod:`repro.parallel` backend name for
             per-request groups (``"serial"`` or ``"thread"``;
@@ -161,7 +161,6 @@ class ServeConfig:
 
     max_queue_depth: int = 256
     max_batch_size: int = 32
-    max_wait_s: float = 0.002
     cache_entries: int = 128
     scalar_executor: str = "serial"
     jobs: Optional[int] = None
@@ -174,8 +173,6 @@ class ServeConfig:
             raise ValueError(f"max_queue_depth must be positive, got {self.max_queue_depth}")
         if self.max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be positive, got {self.max_batch_size}")
-        if self.max_wait_s < 0.0:
-            raise ValueError(f"max_wait_s must be non-negative, got {self.max_wait_s}")
         if self.cache_entries < 0:
             raise ValueError(f"cache_entries must be non-negative, got {self.cache_entries}")
         if self.scalar_executor not in ("serial", "thread"):
@@ -566,7 +563,7 @@ class ServeEngine:
     # batcher
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        """Batcher thread: group, window-wait, dispatch, repeat."""
+        """Batcher thread: pop the ready group, dispatch, repeat."""
         while True:
             group = self._next_group(block=True)
             if group is None:
@@ -587,11 +584,11 @@ class ServeEngine:
         return len(group)
 
     def _next_group(self, block: bool) -> Optional[List[_Item]]:
-        """Pop the head-of-line group, window-waiting to fill batchables.
+        """Pop the head-of-line group with every compatible queued request.
 
-        Only the batcher pops, so the head item is stable across waits.
-        Returns ``None`` when closed with an empty queue (``block=True``)
-        or immediately on an empty queue (``block=False``).
+        Work-conserving: nothing is held back for batchmates still to
+        come. Returns ``None`` when closed with an empty queue
+        (``block=True``) or immediately on an empty queue (``block=False``).
         """
         with self._cv:
             if block:
@@ -600,16 +597,6 @@ class ServeEngine:
             if not self._queue:
                 return None
             head = self._queue[0]
-            if block and head.batchable and self.config.max_wait_s > 0.0:
-                window_end = head.enqueued + self.config.max_wait_s
-                while not self._closed:
-                    matched = sum(1 for item in self._queue if item.key == head.key)
-                    if matched >= self.config.max_batch_size:
-                        break
-                    remaining = window_end - time.monotonic()
-                    if remaining <= 0.0:
-                        break
-                    self._cv.wait(remaining)
             group: List[_Item] = []
             kept: List[_Item] = []
             # Session affinity: once a session's request is passed over
@@ -643,6 +630,7 @@ class ServeEngine:
             registry.histogram(
                 "serve.batch_size", buckets=BATCH_SIZE_BUCKETS, estimator=head.name
             ).observe(float(len(group)))
+            # How long the batch head sat in the queue before dispatch.
             registry.histogram(
                 "serve.batch_wait_seconds", buckets=LATENCY_BUCKETS_S, estimator=head.name
             ).observe(time.monotonic() - head.enqueued)

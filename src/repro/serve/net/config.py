@@ -34,7 +34,7 @@ class NetServeConfig:
             config_hash, shards)`` so one config group always lands on
             one engine and batches compactly.
         engine: per-shard :class:`repro.serve.ServeConfig` (queue bound,
-            batch size, wait window, deadlines).
+            batch size, deadlines).
         worker_mode: ``"process"`` (default) or ``"thread"`` (tests).
         max_inflight_per_shard: supervisor-side load-shedding bound on
             requests in flight to one shard; beyond it ``/v1/locate``

@@ -89,6 +89,7 @@ from repro.obs import (
     get_logger,
     get_registry,
     histogram_delta,
+    ingest_request_spans,
     latency_slo,
     metrics_enabled,
     quantile,
@@ -584,6 +585,11 @@ class NetServer:
                 time.perf_counter() - started,
                 trace_children,
             )
+        elif tracing_enabled() and path.startswith("/v1/sessions"):
+            # Session re-solves run in this process and finish as trace
+            # roots no worker ever claims; file them in the bounded span
+            # store so the root list cannot grow with session traffic.
+            ingest_request_spans()
         extra = dict(extra) if extra else {}
         extra["X-Request-Id"] = request_id
         return status, payload, extra

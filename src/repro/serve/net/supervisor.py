@@ -5,8 +5,9 @@ Requests route by a *stable* digest of ``(estimator, config_hash)`` —
 same worker and its engine batches compactly. That key is the whole
 point of sharding this workload: micro-batches only fuse within a
 group, so spreading a group across workers would fragment every batch,
-while pinning groups to shards lets one shard's batch-fill window
-overlap another shard's solve even on constrained hardware.
+while pinning groups to shards lets the requests that queue behind one
+dispatch fuse into the next, and one shard's queueing overlap another
+shard's solve even on constrained hardware.
 
 The supervisor owns the process/pipe plumbing: per-worker duplex pipes
 (single sender per direction), a receiver thread per worker resolving

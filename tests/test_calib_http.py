@@ -15,7 +15,6 @@ import pytest
 
 from repro.calib import CalibrationStore, RecalibrationScheduler, fleet_scan_source
 from repro.datasets.fleet import AntennaFleet, FleetDriftConfig
-from repro.serve import ServeConfig
 from repro.serve.net import BadRequestError, NetServeConfig, ServerHandle, parse_locate_body
 
 TAG = (0.4, -0.6, 0.1)
@@ -60,7 +59,6 @@ def server(tmp_path_factory, fleet):
         port=0,
         shards=1,
         worker_mode="thread",
-        engine=ServeConfig(max_wait_s=0.001),
         calibration_store=str(root),
     )
     with ServerHandle(config) as handle:
@@ -209,9 +207,7 @@ class TestCalibrationRoutes:
 class TestWithoutStore:
     @pytest.fixture(scope="class")
     def bare_server(self):
-        config = NetServeConfig(
-            port=0, shards=1, worker_mode="thread", engine=ServeConfig(max_wait_s=0.001)
-        )
+        config = NetServeConfig(port=0, shards=1, worker_mode="thread")
         with ServerHandle(config) as handle:
             yield handle
 

@@ -122,13 +122,9 @@ class TestTopCommand:
         assert "burning_windows=[30.0]" in frame and "max_burn=50" in frame
 
     def test_top_once_against_live_server(self, capsys):
-        from repro.serve import ServeConfig
         from repro.serve.net import NetServeConfig, ServerHandle
 
-        config = NetServeConfig(
-            port=0, shards=1, worker_mode="thread",
-            engine=ServeConfig(max_wait_s=0.001), history_cadence_s=0.05,
-        )
+        config = NetServeConfig(port=0, shards=1, worker_mode="thread", history_cadence_s=0.05)
         with ServerHandle(config) as handle:
             url = f"http://127.0.0.1:{handle.port}"
             assert main(["top", url, "--once"]) == 0

@@ -6,7 +6,9 @@ scalar path (positions, residuals, diagnostics, config hashes), failures
 surface as exactly the scalar path's exceptions, and one bad request
 never perturbs its batch neighbours. These tests pin that contract with
 deterministic single-stepping (``start=False`` + ``drain_once``) plus a
-concurrent end-to-end load test.
+concurrent end-to-end load test. Timing-sensitive behaviour (the
+work-conserving batcher) is pinned with a ticking clock and gated
+dispatches rather than sleeps.
 """
 
 import os
@@ -33,6 +35,7 @@ from repro.serve import (
     ServeEngine,
     is_batchable,
 )
+from repro.serve import engine as engine_module
 from repro.serve.bench import build_requests, run_load
 
 
@@ -55,6 +58,71 @@ def _assert_reports_identical(ours, theirs):
     assert np.array_equal(ours.residuals, theirs.residuals)
     assert ours.diagnostics == theirs.diagnostics
     assert ours.config_hash == theirs.config_hash
+
+
+class _TickingClock:
+    """Stands in for the engine's ``time`` module: every read advances 0.25 ms.
+
+    Deadline checks then depend on how often the engine reads its clock
+    between admission and dispatch, never on thread scheduling.
+    """
+
+    def __init__(self):
+        self.now = 100.0
+        self._lock = threading.Lock()
+
+    def monotonic(self):
+        with self._lock:
+            self.now += 2.5e-4
+            return self.now
+
+
+def _gate_dispatch(engine):
+    """Hold every dispatch of ``engine`` until ``release`` is set.
+
+    Returns ``(busy, release, sizes)``: ``busy`` is set once a dispatch
+    is held, ``sizes`` records each dispatched group's size in order.
+    """
+    busy, release, sizes = threading.Event(), threading.Event(), []
+    dispatch = engine._dispatch
+
+    def gated(group):
+        sizes.append(len(group))
+        busy.set()
+        release.wait(60)
+        dispatch(group)
+
+    engine._dispatch = gated
+    return busy, release, sizes
+
+
+class TestWorkConserving:
+    def test_idle_engine_dispatches_lone_request_at_once(self, monkeypatch):
+        # An idle engine must not hold a lone batchable request back for
+        # batchmates: it resolves well inside a 1.5 ms deadline.
+        monkeypatch.setattr(engine_module, "time", _TickingClock())
+        with ServeEngine(ServeConfig(cache_entries=0)) as engine:
+            ticket = engine.submit("lion", _request(0), deadline_s=0.0015)
+            report = ticket.result(timeout=60)
+        _assert_reports_identical(report, estimate("lion", _request(0)))
+
+    def test_requests_queued_behind_a_dispatch_fuse_into_the_next(self):
+        requests = [_request(seed) for seed in range(6)]
+        with ServeEngine(ServeConfig(max_batch_size=8, cache_entries=0)) as engine:
+            busy, release, sizes = _gate_dispatch(engine)
+            try:
+                first = engine.submit("lion", requests[0])
+                assert busy.wait(60)
+                queued = [engine.submit("lion", request) for request in requests[1:]]
+            finally:
+                release.set()
+            reports = [ticket.result(timeout=60) for ticket in [first, *queued]]
+        assert sizes == [1, 5]
+        stats = engine.stats()
+        assert stats["batches"] == 2
+        assert stats["scalar_requests"] == 1 and stats["batched_requests"] == 5
+        for request, report in zip(requests, reports):
+            _assert_reports_identical(report, estimate("lion", request))
 
 
 class TestBatchGrouping:
@@ -291,17 +359,20 @@ class TestLifecycle:
         # The batcher is a daemon thread, so a forgotten engine used to
         # die *silently mid-batch* at interpreter exit, leaving accepted
         # tickets unresolved. The module-level atexit hook must drain it.
-        # atexit runs LIFO, so a checker registered *before* the engine
-        # module is imported runs *after* the module's drain hook.
+        # atexit runs LIFO: the checker, registered *before* the engine
+        # module is imported, runs *after* the module's drain hook, and
+        # ``let_go``, registered last, runs before it.
         script = textwrap.dedent(
             """
             import atexit
             import sys
+            import threading
 
             state = {}
 
             def check():
                 ticket = state["ticket"]
+                assert state["pending_at_exit"], "the ticket resolved before exit"
                 assert ticket.done(), "atexit drain left an accepted ticket unresolved"
                 report = ticket.result(timeout=0)
                 assert report.position.shape == (2,)
@@ -309,15 +380,31 @@ class TestLifecycle:
 
             atexit.register(check)
 
-            import numpy as np
-
             from repro.serve import ServeConfig, ServeEngine
             from repro.serve.bench import build_requests
 
-            engine = ServeEngine(ServeConfig(max_wait_s=0.5, max_batch_size=64))
-            state["ticket"] = engine.submit("lion", build_requests(1, 64, seed=3)[0])
-            # Exit immediately, while the batcher still holds the window
-            # open waiting for more arrivals — no close(), no drain.
+            engine = ServeEngine(ServeConfig())
+            busy, release = threading.Event(), threading.Event()
+            dispatch = engine._dispatch
+
+            def gated(group):
+                busy.set()
+                release.wait(60)
+                dispatch(group)
+
+            engine._dispatch = gated
+            first, second = build_requests(2, 64, seed=3)
+            engine.submit("lion", first)
+            assert busy.wait(60)
+            state["ticket"] = engine.submit("lion", second)
+
+            def let_go():
+                # Exit with the batcher mid-dispatch and the ticket still
+                # queued behind it: no close(), no drain.
+                state["pending_at_exit"] = not state["ticket"].done()
+                release.set()
+
+            atexit.register(let_go)
             """
         )
         result = subprocess.run(
@@ -338,7 +425,6 @@ class TestConfigValidation:
         [
             {"max_queue_depth": 0},
             {"max_batch_size": 0},
-            {"max_wait_s": -0.1},
             {"cache_entries": -1},
             {"scalar_executor": "process"},
             {"default_deadline_s": 0.0},

@@ -88,7 +88,6 @@ def _thread_config(**overrides):
         port=0,
         shards=2,
         worker_mode="thread",
-        engine=ServeConfig(max_wait_s=0.001),
     )
     defaults.update(overrides)
     return NetServeConfig(**defaults)
@@ -173,7 +172,7 @@ class TestWorkerRoundtrip:
         import multiprocessing
 
         parent, child = multiprocessing.Pipe()
-        config = WorkerConfig(shard_index=3, engine=ServeConfig(max_wait_s=0.001))
+        config = WorkerConfig(shard_index=3)
         thread = threading.Thread(target=worker_main, args=(child, config), daemon=True)
         thread.start()
         assert parent.recv() == ("ready", 3)
@@ -215,7 +214,7 @@ class TestWorkerRoundtrip:
         import multiprocessing
 
         parent, child = multiprocessing.Pipe()
-        config = WorkerConfig(shard_index=0, engine=ServeConfig(max_wait_s=0.001))
+        config = WorkerConfig(shard_index=0)
         thread = threading.Thread(target=worker_main, args=(child, config), daemon=True)
         thread.start()
         assert parent.recv() == ("ready", 0)
@@ -370,7 +369,7 @@ class TestGracefulDrain:
             assert all(entry["drained_clean"] for entry in stats)
 
     def test_drain_mid_burst_loses_no_accepted_request(self):
-        config = _thread_config(shards=2, engine=ServeConfig(max_wait_s=0.001, cache_entries=0))
+        config = _thread_config(shards=2, engine=ServeConfig(cache_entries=0))
         with ServerHandle(config) as handle:
             port = handle.port
             statuses = []
@@ -432,7 +431,6 @@ class TestProcessMode:
             port=0,
             shards=2,
             worker_mode="process",
-            engine=ServeConfig(max_wait_s=0.001),
             # Force the shared-memory request path for one of the posts.
             shm_threshold_bytes=1024,
         )
@@ -478,7 +476,7 @@ class TestRequestTracing:
             shards=2,
             worker_mode="process",
             # Fused singletons so even one request takes the batch path.
-            engine=ServeConfig(max_wait_s=0.001, fuse_singletons=True),
+            engine=ServeConfig(fuse_singletons=True),
             recorder_slow_ms=0.0,  # record every request
             history_cadence_s=0.05,
         )
@@ -559,7 +557,6 @@ class TestShardRestart:
             port=0,
             shards=2,
             worker_mode="process",
-            engine=ServeConfig(max_wait_s=0.001),
         )
         with ServerHandle(config) as handle:
             status, _, raw = _post(handle.port, _lion_body(seed=11))

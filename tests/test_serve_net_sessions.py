@@ -15,7 +15,6 @@ import pytest
 
 from repro import LinearTrajectory, default_antenna, simulate_scan
 from repro.pipeline import estimate
-from repro.serve import ServeConfig
 from repro.serve.net import (
     BadRequestError,
     NetServeConfig,
@@ -66,7 +65,6 @@ def _config(**overrides):
         port=0,
         shards=1,
         worker_mode="thread",
-        engine=ServeConfig(max_wait_s=0.001),
     )
     defaults.update(overrides)
     return NetServeConfig(**defaults)
@@ -258,6 +256,39 @@ class TestSessionRoutes:
             assert status == 405
             status, _, _ = _request(port, "GET", "/v1/sessions/a/b/c/d")
             assert status == 404
+
+    def test_session_traffic_leaves_no_trace_roots(self):
+        # Session re-solves run in the front-end process. With tracing on
+        # (the default), their spans finish as trace roots that no worker
+        # claims; the server must drain them, not keep one per re-solve.
+        from repro.obs import disable_tracing, get_trace, reset_tracing
+
+        scan = _scan()
+        reset_tracing()
+        try:
+            with ServerHandle(_config()) as handle:
+                port = handle.port
+                for cycle in range(30):
+                    status, _, snapshot = _request(
+                        port,
+                        "POST",
+                        "/v1/sessions",
+                        json.dumps({"tag": f"ROOTS-{cycle}"}).encode(),
+                    )
+                    assert status == 201
+                    sid = snapshot["session_id"]
+                    status, _, _ = _request(
+                        port, "POST", f"/v1/sessions/{sid}/reads", _ndjson(scan, 0, 100)
+                    )
+                    assert status == 200
+                    status, _, _ = _request(port, "DELETE", f"/v1/sessions/{sid}")
+                    assert status == 200
+                stats = handle.server.sessions.stats()
+                assert stats["resolves_direct"] >= 60  # one per feed, one per close
+                assert len(get_trace()) <= 2
+        finally:
+            disable_tracing()
+            reset_tracing()
 
     def test_session_aware_drain(self):
         scan = _scan()

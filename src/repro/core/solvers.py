@@ -3,11 +3,25 @@
 ``solve_least_squares`` is the plain normal-equation solution Eq. (13);
 ``solve_weighted_least_squares`` is the paper's iteratively re-weighted
 variant: solve, compute residuals, weight each equation by
-:func:`repro.core.weights.gaussian_residual_weights`, re-solve with the
-diagonal weight matrix (Eq. 16), and repeat until the estimate moves less
-than a threshold. ``solve_weighted_least_squares_batch`` runs many small
-same-shape systems through one stacked QR path per IRLS round — the
-throughput entry point for sweep- and Monte-Carlo-style workloads.
+:func:`repro.core.weights.gaussian_residual_weights`, re-solve the
+weighted normal equations ``(AᵀWA) X = AᵀWK`` (Eq. 16), and repeat until
+the estimate stops moving. Every float64 entry point runs one batched
+kernel, :func:`_irls`: each round forms ``[AᵀWA | AᵀWK]`` per member in
+one stacked GEMM and solves ``AᵀWA [X | C] = [AᵀWK | I]``, so the
+inverse ``C`` — and with it the estimate's covariance ``s² C`` — comes
+with every round for free. The scalar solvers are a batch of one, and
+the batch solvers stack members that share a shape, so each member's
+Gram comes from its own unpadded rows and its answer is bit-identical
+whatever its batchmates.
+
+The paper re-weights until the estimate moves "less than the given
+threshold". Here that threshold is the larger of ``tolerance_m`` and
+:data:`STOP_FRACTION` times the estimate's own standard error
+``sqrt(s² tr C)``, so the stop scales with what the data can resolve;
+the floor stops noiseless data, whose standard error is 0. Members the
+normal equations cannot solve reliably (underdetermined, singular,
+ill-conditioned or non-finite) restart on a factored solve of the
+sqrt-weighted rows, never a wrong answer.
 
 The *mean weighted residual* of the final solve is retained on the
 returned :class:`Solution` — it is the signal the adaptive parameter
@@ -18,7 +32,7 @@ sits near zero were produced from cleaner data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +52,25 @@ from repro.obs.trace import NULL_SPAN
 
 WeightFunction = Callable[[np.ndarray], np.ndarray]
 
+#: A member stops re-weighting once a round moves its estimate by less
+#: than this fraction of the estimate's standard error ``sqrt(s² tr C)``.
+#: The estimate is a maximum-likelihood answer whose own spread is that
+#: standard error; the IRLS steps shrink geometrically (by a factor ``ρ``
+#: of 0.3-0.75 per round on portal and survey scans), so after a step
+#: below ``f σ`` the rest of the trajectory can move the answer by at most
+#: ``f σ ρ / (1 - ρ)``: 0.1 σ at ``ρ = 0.5`` and 0.3 σ at ``ρ = 0.75``.
+#: A move of 0.3 σ, uncorrelated with the answer's error, adds at most
+#: ``sqrt(1 + 0.3²) - 1 = 4.4%`` to its RMS error; the iterations below
+#: that cannot change the answer measurably against its own spread.
+STOP_FRACTION = 0.1
+
+#: A member whose Jacobi-scaled Gram ``D AᵀWA D`` (unit diagonal) has an
+#: inverse trace above this is ejected to the factored solve. The trace
+#: bounds the scaled condition number within a factor of the column
+#: count, so the normal equations keep about 8 significant digits on
+#: every member they answer; the radical systems read at most ~400.
+CONDITION_LIMIT = 1e8
+
 
 def _weight_entropy(weights: np.ndarray) -> float:
     """Normalized Shannon entropy of the weight distribution, in [0, 1].
@@ -53,9 +86,7 @@ def _weight_entropy(weights: np.ndarray) -> float:
     return float(-np.sum(nonzero * np.log(nonzero)) / np.log(weights.size))
 
 
-def _record_solve_metrics(
-    kind: str, iterations: int, converged: bool, residual_norm: float, entropy: float
-) -> None:
+def _record_solve_metrics(kind: str, solution: "Solution") -> None:
     """Fold one IRLS solve's convergence summary into the global registry.
 
     Both the scalar and the batched solver call this per system with the
@@ -65,22 +96,25 @@ def _record_solve_metrics(
     registry = get_registry()
     registry.counter("solver.solves_total", solver=kind).inc()
     registry.counter(
-        "solver.converged_total" if converged else "solver.unconverged_total",
+        "solver.converged_total" if solution.converged else "solver.unconverged_total",
         solver=kind,
     ).inc()
-    if converged:
-        # A "freeze": the member stopped iterating before the cap. Counted
-        # identically by the scalar and batched solvers.
+    if solution.converged:
+        # A "freeze": the member stopped iterating before the cap.
         registry.counter("solver.convergence_freezes_total", solver=kind).inc()
     registry.histogram(
         "solver.irls_iterations", buckets=ITERATION_BUCKETS, solver=kind
-    ).observe(iterations)
+    ).observe(solution.iterations)
     registry.histogram(
         "solver.final_residual_norm", buckets=RESIDUAL_BUCKETS_M, solver=kind
-    ).observe(residual_norm)
+    ).observe(float(np.linalg.norm(solution.residuals)))
     registry.histogram(
         "solver.weight_entropy", buckets=UNIT_BUCKETS, solver=kind
-    ).observe(entropy)
+    ).observe(_weight_entropy(solution.weights))
+    if solution.position_std_m is not None:
+        registry.histogram(
+            "solver.position_std_m", buckets=RESIDUAL_BUCKETS_M, solver=kind
+        ).observe(float(np.linalg.norm(solution.position_std_m)))
 
 
 @dataclass(frozen=True)
@@ -96,7 +130,15 @@ class Solution:
             scanning ranges and intervals.
         weights: final per-equation weights (all ones for plain LS).
         iterations: number of weighted re-solves performed (0 for plain LS).
-        converged: whether the iteration met the tolerance (True for LS).
+        converged: whether the iteration met its stop rule before the
+            round cap (True for LS).
+        position_std_m: per-axis formal standard error of the position
+            part of ``estimate``, ``sqrt(diag(s² (AᵀWA)⁻¹))`` with
+            ``s² = Σ w r² / (Σ w - live columns)``; 0 on a pinned dead
+            axis. It treats the radical rows as independent, while
+            neighbouring rows share reads, so it is optimistic: on portal
+            scans it reads 0.4-1.6 mm against actual errors of 2-8 mm.
+            ``None`` on the float32 kernel's answers.
     """
 
     estimate: np.ndarray
@@ -105,6 +147,7 @@ class Solution:
     weights: np.ndarray
     iterations: int
     converged: bool
+    position_std_m: np.ndarray | None = None
 
     @property
     def position(self) -> np.ndarray:
@@ -144,88 +187,354 @@ class Solution:
         return float(np.sqrt(np.mean(self.residuals**2)))
 
 
-def _qr_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Householder-QR solve of an overdetermined full-rank system.
-
-    Returns ``None`` when the system is underdetermined, numerically
-    rank-deficient, or produced a non-finite estimate — callers fall back
-    to the minimum-norm ``lstsq`` path. This factor/project/substitute
-    sequence is exactly what the batched kernel runs per member, which is
-    what makes the batch bit-identical to the scalar solver.
-    """
-    rows, cols = matrix.shape
-    if rows < cols or cols == 0:
-        return None
-    q, r = np.linalg.qr(matrix)
-    diagonal = np.abs(np.diagonal(r))
-    tolerance = np.finfo(r.dtype).eps * max(rows, cols) * float(diagonal.max())
-    if float(diagonal.min()) <= tolerance:
-        return None
-    solution = np.linalg.solve(r, q.T @ rhs)
-    if not np.all(np.isfinite(solution)):
-        return None
-    return solution
-
-
-def _weighted_solve(
-    matrix: np.ndarray, rhs: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Solve ``min ||W^(1/2) (A X - K)||`` on sqrt-weight-scaled rows.
-
-    Full-rank overdetermined systems go through a Householder QR. A
-    lower-dimension trajectory (Sec. III-C) zeroes an entire coefficient
-    column — e.g. a line scan never excites the cross axis — which would
-    fail the full rank test even though the live sub-problem is perfectly
-    conditioned; exactly-zero columns are therefore dropped, the live
-    columns QR-solved, and the dead coefficients pinned to the
-    minimum-norm value 0 (what ``lstsq``'s SVD produces, without the
-    SVD). Anything still deficient falls back to ``lstsq``. Row scaling
-    plus a factored solve is numerically safer than forming the normal
-    equations ``(A^T W A)^-1 A^T W K`` of Eq. (16) and solves the same
-    problem.
-    """
-    root = np.sqrt(weights)
-    scaled_matrix = matrix * root[:, np.newaxis]
-    scaled_rhs = rhs * root
-    live = np.any(scaled_matrix != 0.0, axis=0)
-    if live.all():
-        solution = _qr_solve(scaled_matrix, scaled_rhs)
-        if solution is not None:
-            return solution
-    else:
-        reduced = _qr_solve(scaled_matrix[:, live], scaled_rhs)
-        if reduced is not None:
-            solution = np.zeros(matrix.shape[1])
-            solution[live] = reduced
-            return solution
-    solution, *_ = np.linalg.lstsq(scaled_matrix, scaled_rhs, rcond=None)
-    return solution
-
-
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1)
     return np.where(norms > 0.0, norms, 1.0)
 
 
+def residual_variance(
+    weights: np.ndarray, residuals: np.ndarray, unknowns: np.ndarray | int
+) -> np.ndarray:
+    """``s² = Σ w r² / (Σ w - unknowns)`` per row of ``(k, n)`` stacks.
+
+    The variance factor of the covariance ``s² (AᵀWA)⁻¹``, shared by the
+    IRLS kernel and :mod:`repro.core.uncertainty`. Members without
+    redundancy (``Σ w <= unknowns``) read 0, which leaves the IRLS stop
+    rule on its ``tolerance_m`` floor.
+    """
+    dof = weights.sum(axis=1) - unknowns
+    spread = (weights * residuals * residuals).sum(axis=1)
+    return np.divide(spread, dof, out=np.zeros_like(spread), where=dof > 0.0)
+
+
+class _Group:
+    """The members of one shape in an :func:`_irls` run, and their state.
+
+    Everything computed from a member's rows — the Gram, the residuals,
+    the weights and their sums — runs over this stack of its own unpadded
+    rows, so no member sees another's row count.
+    """
+
+    def __init__(self, ids: np.ndarray, matrices: np.ndarray, rhs: np.ndarray):
+        self.ids = ids
+        self.matrices = matrices
+        self.augmented = np.concatenate([matrices, rhs[:, :, np.newaxis]], axis=2)
+        self.extended = np.full((len(ids), matrices.shape[2] + 1, 1), -1.0)
+        self.weights = np.ones(matrices.shape[:2])
+        self.residuals = self.weights
+
+    def residual(self, estimates: np.ndarray) -> np.ndarray:
+        """``A X - K`` per member, as ``[A | K] @ [X, -1]``."""
+        self.extended[:, :-1, 0] = estimates
+        self.residuals = (self.augmented @ self.extended)[:, :, 0]
+        return self.residuals
+
+    def keep(self, mask: np.ndarray) -> None:
+        for name in ("ids", "matrices", "augmented", "extended", "weights", "residuals"):
+            setattr(self, name, getattr(self, name)[mask])
+
+
+def _normal_round(
+    groups: Sequence[_Group], dead: np.ndarray, right: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One weighted normal-equation solve for every running member.
+
+    Forms ``[AᵀWA | AᵀWK]`` in one stacked GEMM per group and solves
+    ``AᵀWA [X | C] = [AᵀWK | I]`` (``right`` holds the identity block) in
+    one LAPACK call. A dead (exactly zero) column has an exactly zero Gram
+    row and column, so a unit diagonal pins its coefficient to the
+    minimum-norm value 0 and leaves the live sub-problem unchanged.
+    Returns the estimates, the diagonal of ``C``, and the conditioning
+    measure ``Σ_i G_ii C_ii`` — the trace of the inverse Jacobi-scaled
+    Gram, NaN or huge where the solve is singular or ill-conditioned.
+    """
+    cols = dead.shape[1]
+    normal = np.concatenate(
+        [
+            (group.matrices.transpose(0, 2, 1) * group.weights[:, np.newaxis, :])
+            @ group.augmented
+            for group in groups
+        ]
+    )
+    gram = normal[:, :, :cols]
+    diagonal = np.einsum("kii->ki", gram)
+    diagonal += dead
+    right[:, :, 0] = normal[:, :, cols]
+    try:
+        solved = np.linalg.solve(gram, right)
+    except np.linalg.LinAlgError:
+        # An exactly singular member fails the whole stacked call; solve
+        # member by member (the same LAPACK call per matrix) to find it.
+        solved = np.full_like(right, np.nan)
+        for member in range(len(gram)):
+            try:
+                solved[member] = np.linalg.solve(gram[member], right[member])
+            except np.linalg.LinAlgError:
+                pass
+    inverse_diagonal = np.einsum("kii->ki", solved[:, :, 1:])
+    conditioning = np.abs(diagonal * inverse_diagonal).sum(axis=1)
+    return solved[:, :, 0], inverse_diagonal, conditioning
+
+
+def _factored_round(
+    groups: Sequence[_Group], dead: np.ndarray, right: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The minimum-norm weighted solve of one member through an SVD.
+
+    The fallback for a member :func:`_normal_round` rejects: an SVD of the
+    sqrt-weighted live columns gives what ``np.linalg.lstsq`` computes
+    (same rank cutoff), plus the diagonal of the pseudo-inverse
+    ``(AᵀWA)⁺`` that the stop rule and the standard errors need. Dead
+    columns are pinned to 0 as on the normal-equation path.
+    """
+    (group,) = groups
+    (matrix,), (augmented,), (weights,) = group.matrices, group.augmented, group.weights
+    keep = dead[0] == 0.0
+    root = np.sqrt(weights)
+    u, singular, vt = np.linalg.svd(
+        matrix[:, keep] * root[:, np.newaxis], full_matrices=False
+    )
+    cutoff = np.finfo(float).eps * max(matrix.shape[0], int(keep.sum()))
+    rank = int(np.sum(singular > cutoff * singular[0]))
+    scaled_v = vt[:rank] / singular[:rank, np.newaxis]
+    estimates = np.zeros(dead.shape)
+    inverse_diagonal = np.zeros(dead.shape)
+    estimates[0, keep] = scaled_v.T @ (u[:, :rank].T @ (augmented[:, -1] * root))
+    inverse_diagonal[0, keep] = np.sum(scaled_v * scaled_v, axis=0)
+    return estimates, inverse_diagonal, np.zeros(len(dead))
+
+
+def _irls(
+    groups: List[_Group],
+    weight_function: WeightFunction,
+    max_iterations: int,
+    tolerance_m: float,
+    round_solver=_normal_round,
+    observe=None,
+) -> List[Solution | None]:
+    """The IRLS loop over every member of ``groups`` at once.
+
+    Round 0 solves with unit weights (plain LS, Eq. 13). Each later round
+    re-weights every member still running from its own residuals,
+    re-solves, and stops the member once its step falls below
+    ``max(tolerance_m, STOP_FRACTION * sqrt(s² tr C))``. Two data-only
+    rules end a member early:
+
+    * the LS guard — when round 1's standard error exceeds the plain-LS
+      answer's, re-weighting discards information rather than outliers,
+      and the member returns its round-0 answer with unit weights;
+    * ejection — a member whose Gram fails the conditioning test (or
+      whose answer is non-finite) comes back as ``None``, for the caller
+      to restart on :func:`_factored_round`.
+
+    Every operation is per member on the member's own rows, so a
+    member's trajectory does not depend on its batchmates. Returns one
+    entry per member, indexed by the groups' ``ids``.
+    """
+    count = sum(len(group.ids) for group in groups)
+    cols = groups[0].matrices.shape[2]
+    solutions: List[Solution | None] = [None] * count
+    # Per-member operands in group order, subset together as members finish.
+    live = np.concatenate([np.any(group.matrices != 0.0, axis=1) for group in groups])
+    unknowns, dead = live.sum(axis=1), (~live).astype(float)
+    right = np.zeros((count, cols, cols + 1))
+    right[:, :, 1:] = np.eye(cols)
+    tolerance_sq = tolerance_m * tolerance_m
+    fraction_sq = STOP_FRACTION * STOP_FRACTION
+
+    def solve():
+        estimates, inverse_diagonal, conditioning = round_solver(groups, dead, right)
+        inverse_diagonal = inverse_diagonal * live
+        variance = np.empty(len(estimates))
+        start = 0
+        for group in groups:
+            stop = start + len(group.ids)
+            residuals = group.residual(estimates[start:stop])
+            variance[start:stop] = residual_variance(
+                group.weights, residuals, unknowns[start:stop]
+            )
+            start = stop
+        error_sq = variance * inverse_diagonal.sum(axis=1)
+        ok = (conditioning <= CONDITION_LIMIT) & np.isfinite(error_sq)
+        return estimates, variance, inverse_diagonal, error_sq, ok
+
+    estimates, variance, inverse_diagonal, error_sq, ok = solve()
+    ls = (estimates, variance, inverse_diagonal, error_sq)
+    met = np.full(count, max_iterations == 0)
+    round_index = 0
+    while True:
+        done = ~ok | met | (round_index >= max_iterations)
+        if observe is not None and round_index:
+            observe(round_index, groups, steps_sq, int(done.sum()))
+        if done.any():
+            start = 0
+            for group in groups:
+                stop = start + len(group.ids)
+                for position in np.flatnonzero(done[start:stop] & ok[start:stop]):
+                    slot, residuals = start + position, group.residuals[position].copy()
+                    norms = _row_norms(group.matrices[position])
+                    solutions[group.ids[position]] = Solution(
+                        estimate=estimates[slot].copy(),
+                        residuals=residuals,
+                        normalized_residuals=residuals / norms,
+                        weights=group.weights[position].copy(),
+                        iterations=round_index,
+                        converged=bool(met[slot]),
+                        position_std_m=np.sqrt(variance[slot] * inverse_diagonal[slot, :-1]),
+                    )
+                group.keep(~done[start:stop])
+                start = stop
+            if done.all():
+                return solutions
+            groups = [group for group in groups if len(group.ids)]
+            keep = ~done
+            estimates, live, unknowns, dead, right = (
+                item[keep] for item in (estimates, live, unknowns, dead, right)
+            )
+            if round_index == 0:
+                ls = tuple(item[keep] for item in ls)
+        round_index += 1
+        for group in groups:
+            group.weights = np.stack([weight_function(row) for row in group.residuals])
+        previous = estimates
+        estimates, variance, inverse_diagonal, error_sq, ok = solve()
+        steps_sq = np.square(estimates - previous).sum(axis=1)
+        met = steps_sq < np.maximum(tolerance_sq, fraction_sq * error_sq)
+        if round_index == 1:
+            guard = ok & (error_sq > ls[3])
+            if guard.any():
+                for current, plain in zip((estimates, variance, inverse_diagonal), ls):
+                    current[guard] = plain[guard]
+                start = 0
+                for group in groups:
+                    stop = start + len(group.ids)
+                    revert = guard[start:stop]
+                    group.weights[revert] = 1.0
+                    group.residual(estimates[start:stop])
+                    start = stop
+                met |= guard
+
+
+def _solve_members(
+    members: Sequence[Tuple[np.ndarray, np.ndarray]],
+    weight_function: WeightFunction,
+    max_iterations: int,
+    tolerance_m: float,
+    solver: str | None,
+) -> List[Solution]:
+    """Solve compact ``(matrix, rhs)`` members; one :class:`Solution` each.
+
+    Members with the same column count run through one :func:`_irls`
+    loop, stacked by row count; a member the normal equations eject
+    restarts alone on :func:`_factored_round`. ``solver`` labels the
+    telemetry (``"scalar"`` or ``"batch"``); plain LS passes ``None`` and
+    records none.
+    """
+    if any(matrix.shape[0] == 0 for matrix, _ in members):
+        raise ValueError("cannot solve an empty system")
+    observing = solver is not None and obs_enabled()
+    solve_span = (
+        span(
+            "solve",
+            solver=solver,
+            systems=len(members),
+            equations=max(matrix.shape[0] for matrix, _ in members),
+        )
+        if observing and tracing_enabled()
+        else NULL_SPAN
+    )
+    shapes: Dict[int, Dict[int, List[int]]] = {}
+    for index, (matrix, _) in enumerate(members):
+        rows, cols = matrix.shape
+        shapes.setdefault(cols, {}).setdefault(rows, []).append(index)
+    solutions: List[Solution] = [None] * len(members)  # type: ignore[list-item]
+    with solve_span as sp:
+        observe = None
+        if observing:
+            histogram = (
+                get_registry().histogram(
+                    "solver.iteration_residual_norm",
+                    buckets=RESIDUAL_BUCKETS_M,
+                    solver=solver,
+                )
+                if metrics_enabled()
+                else None
+            )
+
+            def observe(round_index, groups, steps_sq, frozen):
+                norms = np.concatenate(
+                    [np.sqrt(np.sum(g.residuals * g.residuals, axis=1)) for g in groups]
+                )
+                sp.add_event(
+                    iteration=round_index,
+                    active=int(norms.size),
+                    frozen=frozen,
+                    residual_norm=float(np.mean(norms)),
+                    step_m=float(np.sqrt(np.max(steps_sq))),
+                )
+                if histogram is not None:
+                    for norm in norms:
+                        histogram.observe(float(norm))
+
+        for by_rows in shapes.values():
+            order: List[int] = []
+            groups: List[_Group] = []
+            for indices in by_rows.values():
+                groups.append(
+                    _Group(
+                        np.arange(len(order), len(order) + len(indices)),
+                        np.stack([members[index][0] for index in indices]),
+                        np.stack([members[index][1] for index in indices]),
+                    )
+                )
+                order.extend(indices)
+            solved = _irls(
+                groups, weight_function, max_iterations, tolerance_m, observe=observe
+            )
+            for slot, index in enumerate(order):
+                if solved[slot] is None:
+                    matrix, rhs = members[index]
+                    restart = _Group(np.zeros(1, dtype=int), matrix[None], rhs[None])
+                    solved[slot] = _irls(
+                        [restart],
+                        weight_function,
+                        max_iterations,
+                        tolerance_m,
+                        round_solver=_factored_round,
+                    )[0]
+                solutions[index] = solved[slot]
+    if observing and metrics_enabled():
+        for solution in solutions:
+            _record_solve_metrics(solver, solution)
+    return solutions
+
+
+def _validate_iteration(max_iterations: int, tolerance_m: float) -> None:
+    if max_iterations <= 0:
+        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
+    if tolerance_m <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tolerance_m}")
+
+
+def _validate_stack(matrices: np.ndarray, rhs: np.ndarray, mask: np.ndarray) -> None:
+    if matrices.ndim != 3:
+        raise ValueError(f"matrices must be (b, max_rows, n), got {matrices.shape}")
+    if rhs.shape != matrices.shape[:2]:
+        raise ValueError(f"rhs must have shape {matrices.shape[:2]}, got {rhs.shape}")
+    if mask.shape != rhs.shape:
+        raise ValueError(f"row_mask must have shape {rhs.shape}, got {mask.shape}")
+
+
 def solve_least_squares(system: LinearSystem) -> Solution:
-    """Plain least squares (paper Eq. 13).
+    """Plain least squares (paper Eq. 13): round 0 of the IRLS kernel.
 
     Raises:
         ValueError: if the system has no equations.
     """
-    if system.equation_count == 0:
-        raise ValueError("cannot solve an empty system")
-    weights = np.ones(system.equation_count)
-    estimate = _weighted_solve(system.matrix, system.rhs, weights)
-    residuals = system.matrix @ estimate - system.rhs
-    return Solution(
-        estimate=estimate,
-        residuals=residuals,
-        normalized_residuals=residuals / _row_norms(system.matrix),
-        weights=weights,
-        iterations=0,
-        converged=True,
+    (solution,) = _solve_members(
+        [(system.matrix, system.rhs)], gaussian_residual_weights, 0, 1.0, None
     )
+    return solution
 
 
 def solve_weighted_least_squares(
@@ -236,320 +545,34 @@ def solve_weighted_least_squares(
 ) -> Solution:
     """Iteratively re-weighted least squares (paper Eq. 14-16).
 
+    A batch of one through the kernel of
+    :func:`solve_weighted_least_squares_batch`, so the two agree bit for
+    bit.
+
     Args:
         system: the assembled radical-equation system.
         weight_function: residuals -> weights map; defaults to the paper's
             Gaussian-of-residual weights.
         max_iterations: cap on re-weighting rounds.
-        tolerance_m: stop once the estimate moves less than this between
-            rounds (the paper's "difference between the last estimation and
-            the current estimation is less than the given threshold").
+        tolerance_m: floor of the stop threshold: a round stops once the
+            estimate moves less than the larger of this and
+            :data:`STOP_FRACTION` times the estimate's standard error (the
+            paper's "difference between the last estimation and the
+            current estimation is less than the given threshold").
 
     Raises:
         ValueError: on an empty system or non-positive iteration/tolerance
             parameters.
     """
-    if system.equation_count == 0:
-        raise ValueError("cannot solve an empty system")
-    if max_iterations <= 0:
-        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
-    if tolerance_m <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance_m}")
-    return _scalar_irls(
-        system.matrix, system.rhs, weight_function, max_iterations, tolerance_m
+    _validate_iteration(max_iterations, tolerance_m)
+    (solution,) = _solve_members(
+        [(system.matrix, system.rhs)],
+        weight_function,
+        max_iterations,
+        tolerance_m,
+        "scalar",
     )
-
-
-def _scalar_irls(
-    matrix: np.ndarray,
-    rhs: np.ndarray,
-    weight_function: WeightFunction,
-    max_iterations: int,
-    tolerance_m: float,
-) -> Solution:
-    """The scalar IRLS loop on raw arrays (validated by the callers).
-
-    Shared by :func:`solve_weighted_least_squares` and the masked batch
-    kernel's per-member rank-deficiency fallback, so a member ejected
-    from the batch reproduces exactly the trajectory — and emits exactly
-    the scalar-solver metrics — the per-system path would have.
-    """
-    # Observability costs one flag check when disabled; when enabled, the
-    # solve is wrapped in a span and per-iteration diagnostics are emitted.
-    observing = obs_enabled()
-    solve_span = (
-        span("solve", solver="scalar", equations=matrix.shape[0])
-        if observing and tracing_enabled()
-        else NULL_SPAN
-    )
-    with solve_span as sp:
-        weights = np.ones(matrix.shape[0])
-        estimate = _weighted_solve(matrix, rhs, weights)
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            residuals = matrix @ estimate - rhs
-            weights = weight_function(residuals)
-            updated = _weighted_solve(matrix, rhs, weights)
-            step = float(np.linalg.norm(updated - estimate))
-            estimate = updated
-            if observing:
-                residual_norm = float(np.linalg.norm(residuals))
-                sp.add_event(
-                    iteration=iterations, residual_norm=residual_norm, step_m=step
-                )
-                if metrics_enabled():
-                    get_registry().histogram(
-                        "solver.iteration_residual_norm",
-                        buckets=RESIDUAL_BUCKETS_M,
-                        solver="scalar",
-                    ).observe(residual_norm)
-            if step < tolerance_m:
-                converged = True
-                break
-        residuals = matrix @ estimate - rhs
-        if observing and metrics_enabled():
-            _record_solve_metrics(
-                "scalar",
-                iterations,
-                converged,
-                float(np.linalg.norm(residuals)),
-                _weight_entropy(weights),
-            )
-    return Solution(
-        estimate=estimate,
-        residuals=residuals,
-        normalized_residuals=residuals / _row_norms(matrix),
-        weights=weights,
-        iterations=iterations,
-        converged=converged,
-    )
-
-
-def _masked_qr_solve(
-    stack: np.ndarray,
-    scaled_rhs: np.ndarray,
-    counts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One batched weighted-LS round over a pre-scaled, column-reduced stack.
-
-    ``stack`` is ``(k, M, width)`` — each member's sqrt-weight-scaled live
-    columns, valid rows ``[:counts[i]]`` on top, zeros below; ``scaled_rhs``
-    is ``(k, M)`` scaled the same way. Returns ``(estimates, ok)`` where
-    ``ok[i]`` is False for members the QR fast path cannot handle
-    bit-identically to the scalar solver (numerically rank-deficient or
-    non-finite) — those need the per-member ``lstsq`` fallback.
-
-    Bitwise parity with :func:`_qr_solve` rests on three measured facts
-    of LAPACK/BLAS on contiguous float64 inputs: (1) Householder QR of a
-    matrix with trailing zero rows yields the identical R factor and the
-    identical top ``m`` rows of Q as the unpadded QR; (2) the batched
-    triangular solve equals the per-matrix solve; (3) batched *matmul*
-    projections do NOT reliably equal the scalar ``q.T @ b`` (GEMM vs
-    GEMV blocking), so Q^T·b is computed per member on contiguous views.
-    """
-    batch, _, width = stack.shape
-    q, r = np.linalg.qr(stack)
-    eps = np.finfo(r.dtype).eps
-    diagonals = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    tolerances = eps * np.maximum(counts, width) * diagonals.max(axis=1)
-    deficient = diagonals.min(axis=1) <= tolerances
-    ok = ~deficient
-    estimates = np.zeros((batch, width))
-    projected = np.empty((batch, width))
-    for position in range(batch):
-        if deficient[position]:
-            continue
-        rows = int(counts[position])
-        projected[position] = q[position, :rows].T @ scaled_rhs[position, :rows]
-    solvable = np.flatnonzero(ok)
-    if solvable.size:
-        solutions = np.linalg.solve(
-            r[solvable], projected[solvable][:, :, np.newaxis]
-        )[:, :, 0]
-        finite = np.all(np.isfinite(solutions), axis=1)
-        estimates[solvable] = solutions
-        ok[solvable[~finite]] = False
-    return estimates, ok
-
-
-class _ColumnGroup:
-    """Members of a masked batch sharing one exactly-zero-column pattern.
-
-    Mirrors the scalar solver's dead-column handling (:func:`_weighted_solve`)
-    batch-side: the pattern is computed once on the *unscaled* stack —
-    weights only scale rows, so scaling can only zero further columns, and
-    a member whose scaled pattern shrinks (pathological zero weights)
-    simply fails the rank test and is ejected to the scalar fallback,
-    which is authoritative. ``base`` holds the members' live columns as
-    one contiguous reduced stack so each IRLS round scales straight from
-    it with no per-round slicing.
-    """
-
-    __slots__ = ("members", "keep", "keep_indices", "base")
-
-    def __init__(self, members: np.ndarray, keep: np.ndarray, matrices: np.ndarray):
-        self.members = members
-        self.keep = keep
-        self.keep_indices = np.flatnonzero(keep)
-        base = matrices[members]
-        self.base = base if keep.all() else np.ascontiguousarray(base[:, :, keep])
-
-
-def _irls_masked(
-    matrices: np.ndarray,
-    rhs: np.ndarray,
-    counts: np.ndarray,
-    weight_function: WeightFunction,
-    max_iterations: int,
-    tolerance_m: float,
-) -> List[Solution]:
-    """The masked stacked IRLS iteration on zero-padded inputs.
-
-    Mirrors :func:`_scalar_irls` exactly, member by member: each round
-    re-solves only the not-yet-converged members (convergence freezing),
-    re-weights each member's *valid* residual slice with the caller's
-    weight function, and runs one batched QR over the still-active stack.
-    A member the QR path rejects (underdetermined, rank-deficient, or
-    non-finite) is ejected and re-run from scratch through
-    :func:`_scalar_irls` — an identical trajectory, since every batch
-    round before the ejection matched the scalar path bit for bit.
-    """
-    count, max_rows, cols = matrices.shape
-    observing = obs_enabled()
-    solve_span = (
-        span("solve", solver="batch", systems=count, equations=max_rows)
-        if observing and tracing_enabled()
-        else NULL_SPAN
-    )
-    compact = [
-        (matrices[index, : counts[index]], rhs[index, : counts[index]])
-        for index in range(count)
-    ]
-    fallback = counts < cols
-    estimates = np.zeros((count, cols))
-    weights = np.ones((count, max_rows))
-    converged = np.zeros(count, dtype=bool)
-    iterations = np.zeros(count, dtype=int)
-
-    # Group members by exactly-zero-column pattern once, on the unscaled
-    # stack (padding rows are zero, so the any-reduction over all rows
-    # equals the one over the valid rows), and pre-extract each group's
-    # live columns as a contiguous reduced base stack. Every IRLS round
-    # then scales straight from the base — two passes over reduced data
-    # instead of the fancy-index + scale + slice copies of the full stack
-    # a per-round regrouping would cost.
-    live = np.any(matrices != 0.0, axis=1)
-    group_id = np.full(count, -1, dtype=int)
-    base_pos = np.zeros(count, dtype=int)
-    groups: List[_ColumnGroup] = []
-    patterns: dict = {}
-    for index in np.flatnonzero(~fallback):
-        patterns.setdefault(live[index].tobytes(), []).append(index)
-    for members_list in patterns.values():
-        members = np.asarray(members_list)
-        keep = live[members[0]]
-        if not keep.any():
-            fallback[members] = True
-            continue
-        group_id[members] = len(groups)
-        base_pos[members] = np.arange(members.size)
-        groups.append(_ColumnGroup(members, keep, matrices))
-
-    def _solve_round(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One weighted round over the active members, full-width results."""
-        solved = np.zeros((active.size, cols))
-        ok = np.zeros(active.size, dtype=bool)
-        gids = group_id[active]
-        for gi, group in enumerate(groups):
-            apos = np.flatnonzero(gids == gi)
-            if apos.size == 0:
-                continue
-            sel = active[apos]
-            root = np.sqrt(weights[sel])
-            stack = group.base[base_pos[sel]] * root[:, :, np.newaxis]
-            reduced, round_ok = _masked_qr_solve(stack, rhs[sel] * root, counts[sel])
-            solved[np.ix_(apos, group.keep_indices)] = reduced
-            ok[apos] = round_ok
-        return solved, ok
-
-    with solve_span as sp:
-        active = np.flatnonzero(~fallback)
-        if active.size:
-            solved, ok = _solve_round(active)
-            estimates[active] = solved
-            fallback[active[~ok]] = True
-        for round_index in range(1, max_iterations + 1):
-            active = np.flatnonzero(~converged & ~fallback)
-            if active.size == 0:
-                break
-            # Residuals and re-weighting run per member on the contiguous
-            # valid slice — dgemv and a weight function applied to exactly
-            # the array the scalar path sees (a batched GEMM would drift
-            # by an ulp on some BLAS builds).
-            residual_norms = np.empty(active.size) if observing else None
-            for position, index in enumerate(active):
-                matrix_c, rhs_c = compact[index]
-                residuals = matrix_c @ estimates[index] - rhs_c
-                weights[index, : counts[index]] = weight_function(residuals)
-                if observing:
-                    residual_norms[position] = np.linalg.norm(residuals)
-            solved, ok = _solve_round(active)
-            fallback[active[~ok]] = True
-            good = active[ok]
-            steps = np.linalg.norm(solved[ok] - estimates[good], axis=1)
-            estimates[good] = solved[ok]
-            iterations[good] = round_index
-            frozen = good[steps < tolerance_m]
-            converged[frozen] = True
-            if observing:
-                sp.add_event(
-                    iteration=round_index,
-                    active=int(active.size),
-                    frozen=int(frozen.size),
-                    mean_residual_norm=float(np.mean(residual_norms)),
-                )
-                if metrics_enabled():
-                    norm_histogram = get_registry().histogram(
-                        "solver.iteration_residual_norm",
-                        buckets=RESIDUAL_BUCKETS_M,
-                        solver="batch",
-                    )
-                    for norm in residual_norms:
-                        norm_histogram.observe(float(norm))
-        if observing and metrics_enabled():
-            for index in np.flatnonzero(~fallback):
-                matrix_c, rhs_c = compact[index]
-                final = matrix_c @ estimates[index] - rhs_c
-                _record_solve_metrics(
-                    "batch",
-                    int(iterations[index]),
-                    bool(converged[index]),
-                    float(np.linalg.norm(final)),
-                    _weight_entropy(weights[index, : counts[index]]),
-                )
-    solutions: List[Solution] = []
-    for index in range(count):
-        matrix_c, rhs_c = compact[index]
-        if fallback[index]:
-            solutions.append(
-                _scalar_irls(
-                    matrix_c, rhs_c, weight_function, max_iterations, tolerance_m
-                )
-            )
-            continue
-        residuals = matrix_c @ estimates[index] - rhs_c
-        solutions.append(
-            Solution(
-                estimate=estimates[index].copy(),
-                residuals=residuals,
-                normalized_residuals=residuals / _row_norms(matrix_c),
-                weights=weights[index, : counts[index]].copy(),
-                iterations=int(iterations[index]),
-                converged=bool(converged[index]),
-            )
-        )
-    return solutions
+    return solution
 
 
 def solve_weighted_least_squares_masked_batch(
@@ -560,73 +583,45 @@ def solve_weighted_least_squares_masked_batch(
     max_iterations: int = 20,
     tolerance_m: float = 1e-6,
 ) -> List[Solution]:
-    """Solve a padded stack of weighted-LS systems in one masked IRLS pass.
+    """Solve a padded stack of weighted-LS systems through the IRLS kernel.
 
     The throughput entry point for sweep-style workloads (one member per
     adaptive grid cell): member ``i`` consists of the rows of
-    ``matrices[i]`` / ``rhs[i]`` where ``row_mask[i]`` is True; padding
-    rows are ignored. Each IRLS round runs one batched QR factorization
-    over the still-active members with per-member convergence freezing and
-    masked Gaussian re-weighting. Every returned :class:`Solution` is
+    ``matrices[i]`` / ``rhs[i]`` where ``row_mask[i]`` is True, in order;
+    padding rows may sit anywhere and are dropped before the solve.
+    Members sharing a row count run as one stack with per-member stopping
+    and re-weighting, so every returned :class:`Solution` is
     **bit-identical** to :func:`solve_weighted_least_squares` on the
-    corresponding compact system — members the QR fast path cannot handle
-    (underdetermined, rank-deficient, non-finite) are ejected to the
-    scalar path individually, never poisoning the batch.
+    corresponding compact system; a member the normal equations cannot
+    solve is ejected to the factored solve alone, never poisoning the
+    batch.
 
     Args:
         matrices: coefficient stack, shape ``(b, max_rows, n)``.
         rhs: right-hand sides, shape ``(b, max_rows)``.
-        row_mask: boolean validity mask, shape ``(b, max_rows)``; padding
-            may sit anywhere (rows are compacted to a zero-padded prefix
-            internally, preserving order).
+        row_mask: boolean validity mask, shape ``(b, max_rows)``.
         weight_function: residuals -> weights map, applied per member to
             its valid residual slice.
         max_iterations: cap on re-weighting rounds (per member).
-        tolerance_m: per-member convergence threshold on estimate motion.
+        tolerance_m: per-member floor of the stop threshold.
 
     Raises:
         ValueError: on shape mismatches, an all-padding member, or
             non-positive iteration parameters.
     """
-    if max_iterations <= 0:
-        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
-    if tolerance_m <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance_m}")
+    _validate_iteration(max_iterations, tolerance_m)
     stack = np.asarray(matrices, dtype=float)
     targets = np.asarray(rhs, dtype=float)
     mask = np.asarray(row_mask, dtype=bool)
-    if stack.ndim != 3:
-        raise ValueError(f"matrices must be (b, max_rows, n), got {stack.shape}")
-    if targets.shape != stack.shape[:2]:
-        raise ValueError(
-            f"rhs must have shape {stack.shape[:2]}, got {targets.shape}"
-        )
-    if mask.shape != targets.shape:
-        raise ValueError(
-            f"row_mask must have shape {targets.shape}, got {mask.shape}"
-        )
-    count, max_rows, _ = stack.shape
-    if count == 0:
+    _validate_stack(stack, targets, mask)
+    if stack.shape[0] == 0:
         return []
-    counts = mask.sum(axis=1)
-    if np.any(counts == 0):
-        raise ValueError("cannot solve an empty system")
-    # The batched QR is only bit-identical under *trailing* zero-row
-    # padding, so valid rows are compacted to a prefix (order preserved)
-    # and everything below is zeroed.
-    prefix = np.arange(max_rows)[np.newaxis, :] < counts[:, np.newaxis]
-    if np.array_equal(mask, prefix):
-        padded = np.where(mask[:, :, np.newaxis], stack, 0.0)
-        padded_rhs = np.where(mask, targets, 0.0)
-    else:
-        padded = np.zeros_like(stack)
-        padded_rhs = np.zeros_like(targets)
-        for index in range(count):
-            rows = np.flatnonzero(mask[index])
-            padded[index, : rows.size] = stack[index, rows]
-            padded_rhs[index, : rows.size] = targets[index, rows]
-    return _irls_masked(
-        padded, padded_rhs, counts, weight_function, max_iterations, tolerance_m
+    members = [
+        (stack[index][mask[index]], targets[index][mask[index]])
+        for index in range(stack.shape[0])
+    ]
+    return _solve_members(
+        members, weight_function, max_iterations, tolerance_m, "batch"
     )
 
 
@@ -667,12 +662,10 @@ def solve_weighted_least_squares_fast_batch(
     """Approximate batched Gaussian-IRLS via normal equations, one GEMM per round.
 
     The float32 throughput kernel behind ``ServeConfig(dtype="float32")``.
-    Where :func:`solve_weighted_least_squares_masked_batch` reproduces the
-    scalar solver bit for bit (per-member QR projections, per-member
-    residual GEMVs), this kernel solves the same weighted problem through
-    the Eq. (16) normal equations ``(A^T W A) X = A^T W K`` formed for the
-    whole batch in two batched GEMMs per IRLS round — an order of
-    magnitude faster, at the cost of exactness: run in float32 the
+    It solves the same Eq. (16) normal equations as the float64 kernel,
+    but over the whole zero-padded batch in two batched GEMMs per round,
+    with the vectorized Gaussian weights and a fixed ``tolerance_m``
+    stop — faster, at the cost of exactness: run in float32 the
     estimates land within ~1e-4 m of the float64 scalar path on
     serving-scale systems (property-tested in
     ``tests/test_batch_prepare.py``), which is far below the phase-noise
@@ -681,11 +674,12 @@ def solve_weighted_least_squares_fast_batch(
     Exactly-zero coefficient columns (a line-frame scan never excites the
     cross axis) are pinned to the minimum-norm value 0 — their normal
     rows/columns are already exactly zero, so setting the diagonal to 1
-    solves the live sub-problem unchanged, matching
-    :func:`_weighted_solve`'s dead-column handling. Members the kernel
-    cannot solve reliably (singular or non-finite normal systems,
-    underdetermined members) are ejected to the exact scalar float64
-    path individually, so results degrade to exact, never to garbage.
+    solves the live sub-problem unchanged, as the float64 kernel does.
+    Members the kernel cannot solve reliably (singular or non-finite
+    normal systems, underdetermined members) are ejected to the float64
+    kernel individually, so results degrade to float64, never to garbage.
+    Round 1 applies the float64 kernel's LS guard, so both kernels return
+    the plain-LS answer on the same members.
 
     Args:
         matrices: coefficient stack, shape ``(b, max_rows, c)``, any float
@@ -704,16 +698,8 @@ def solve_weighted_least_squares_fast_batch(
         ValueError: on shape mismatches, an all-padding member, or
             non-positive iteration parameters.
     """
-    if max_iterations <= 0:
-        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
-    if tolerance_m <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance_m}")
-    if matrices.ndim != 3:
-        raise ValueError(f"matrices must be (b, max_rows, c), got {matrices.shape}")
-    if rhs.shape != matrices.shape[:2]:
-        raise ValueError(f"rhs must have shape {matrices.shape[:2]}, got {rhs.shape}")
-    if row_mask.shape != rhs.shape:
-        raise ValueError(f"row_mask must have shape {rhs.shape}, got {row_mask.shape}")
+    _validate_iteration(max_iterations, tolerance_m)
+    _validate_stack(matrices, rhs, row_mask)
     count, _, cols = matrices.shape
     if count == 0:
         return []
@@ -725,7 +711,8 @@ def solve_weighted_least_squares_fast_batch(
     mask = row_mask.astype(dtype)
 
     live = np.any(matrices != 0.0, axis=1)
-    fallback = counts_int < live.sum(axis=1)
+    unknowns = live.sum(axis=1)
+    fallback = counts_int < unknowns
     dead_member, dead_col = np.nonzero(~live)
 
     # Hoisted per-round operands: the transposed stack and the augmented
@@ -740,16 +727,23 @@ def solve_weighted_least_squares_fast_batch(
     converged = np.zeros(count, dtype=bool)
     iterations = np.zeros(count, dtype=int)
 
-    def _normal_solve(round_weights: np.ndarray) -> np.ndarray:
-        """One weighted normal-equation solve over the whole batch."""
+    identity = np.broadcast_to(np.eye(cols, dtype=dtype), (count, cols, cols))
+
+    def _normal_solve(round_weights: np.ndarray, inverse: bool = False):
+        """One weighted normal-equation solve over the whole batch.
+
+        With ``inverse``, also returns the diagonal of ``(AᵀWA)⁻¹`` from the
+        same LAPACK call, for the LS guard's standard errors.
+        """
         normal = (transposed * round_weights[:, np.newaxis, :]) @ augmented
         ata = normal[:, :, :cols]
-        atb = normal[:, :, cols]
+        atb = normal[:, :, cols:]
         if dead_member.size:
             ata[dead_member, dead_col, dead_col] = 1.0
             atb[dead_member, dead_col] = 0.0
+        right = np.concatenate([atb, identity], axis=2) if inverse else atb
         try:
-            solved = np.linalg.solve(ata, atb[:, :, np.newaxis])[:, :, 0]
+            solved = np.linalg.solve(ata, right)
         except np.linalg.LinAlgError:
             # An exactly singular member poisons the whole batched solve;
             # find it by determinant, eject it, and patch its normal
@@ -758,28 +752,51 @@ def solve_weighted_least_squares_fast_batch(
             bad = ~np.isfinite(determinants) | (determinants == 0.0)
             fallback[bad] = True
             ata[bad] = np.eye(cols, dtype=dtype)
-            atb[bad] = 0.0
-            solved = np.linalg.solve(ata, atb[:, :, np.newaxis])[:, :, 0]
-        finite = np.all(np.isfinite(solved), axis=1)
+            right[bad] = 0.0
+            solved = np.linalg.solve(ata, right)
+        finite = np.all(np.isfinite(solved[:, :, 0]), axis=1)
         fallback[~finite] = True
-        return solved
+        if inverse:
+            return solved[:, :, 0], np.einsum("kii->ki", solved[:, :, 1:]) * live
+        return solved[:, :, 0]
 
-    estimates = _normal_solve(weights)
+    def _error_sq(inverse_diagonal, residuals, round_weights):
+        """``s² tr (AᵀWA)⁻¹`` per member, as the float64 kernel's."""
+        variance = residual_variance(round_weights, residuals, unknowns)
+        return variance * inverse_diagonal.sum(axis=1)
+
+    def _residuals(solution: np.ndarray) -> np.ndarray:
+        return ((matrices @ solution[:, :, np.newaxis])[:, :, 0] - rhs) * mask
+
+    # Round 0 is plain LS; round 1 applies the float64 kernel's LS guard.
+    estimates, ls_inverse = _normal_solve(weights, inverse=True)
+    ls_estimates = estimates.copy()
+    reverted = np.zeros(count, dtype=bool)
     tolerance_sq = dtype.type(tolerance_m) * dtype.type(tolerance_m)
     for round_index in range(1, max_iterations + 1):
         if np.all(frozen | fallback):
             break
-        residuals = (matrices @ estimates[:, :, np.newaxis])[:, :, 0] - rhs
-        residuals *= mask
+        residuals = _residuals(estimates)
+        if round_index == 1:
+            ls_error_sq = _error_sq(ls_inverse, residuals, mask)
         weights = _gaussian_weights_rowwise(residuals, mask, counts)
-        solved = _normal_solve(weights)
+        if round_index == 1:
+            solved, inverse_diagonal = _normal_solve(weights, inverse=True)
+        else:
+            solved = _normal_solve(weights)
         update = ~frozen & ~fallback
         steps_sq = np.square(solved - estimates).sum(axis=1)
         estimates[update] = solved[update]
         iterations[update] = round_index
         done = update & (steps_sq < tolerance_sq)
+        if round_index == 1:
+            error_sq = _error_sq(inverse_diagonal, _residuals(solved), weights)
+            reverted = update & (error_sq > ls_error_sq)
+            estimates[reverted] = ls_estimates[reverted]
+            done |= reverted
         converged[done] = True
         frozen |= done
+    weights[reverted] = mask[reverted]
 
     final_residuals = (matrices @ estimates[:, :, np.newaxis])[:, :, 0] - rhs
     final_residuals *= mask
@@ -790,13 +807,18 @@ def solve_weighted_least_squares_fast_batch(
     for index in range(count):
         rows = int(counts_int[index])
         if fallback[index]:
-            solutions.append(
-                _scalar_irls(
-                    np.asarray(matrices[index, :rows], dtype=float),
-                    np.asarray(rhs[index, :rows], dtype=float),
+            solutions.extend(
+                _solve_members(
+                    [
+                        (
+                            np.asarray(matrices[index, :rows], dtype=float),
+                            np.asarray(rhs[index, :rows], dtype=float),
+                        )
+                    ],
                     gaussian_residual_weights,
                     max_iterations,
                     tolerance_m,
+                    "scalar",
                 )
             )
             continue
@@ -822,65 +844,33 @@ def solve_weighted_least_squares_batch(
 ) -> List[Solution]:
     """Solve many radical-equation systems in one stacked IRLS pass.
 
-    A convenience wrapper over
-    :func:`solve_weighted_least_squares_masked_batch`: the systems — one
-    per Monte-Carlo trial or per sweep cell, ragged shapes welcome — are
-    zero-padded to the widest member and each IRLS round runs as a single
-    batched QR factorization, one LAPACK call instead of ``len(systems)``.
-    Underdetermined and rank-deficient members are ejected to the scalar
-    :func:`solve_weighted_least_squares` individually. Every returned
-    solution is bit-identical to the scalar solver on the same system
-    (mixed-dimension batches — differing column counts — fall back to a
-    scalar loop).
+    The systems — one per Monte-Carlo trial, sweep cell or served
+    request, ragged shapes welcome — are grouped by shape, and each group
+    runs as one stack through the IRLS kernel: one GEMM and one LAPACK
+    call per round instead of ``len(systems)``. Every returned solution
+    is bit-identical to :func:`solve_weighted_least_squares` on the same
+    system; members the normal equations cannot solve are ejected to the
+    factored solve individually.
 
     Args:
         systems: the assembled systems, in any order; results come back
             in the same order.
         weight_function: residuals -> weights map, applied per system.
         max_iterations: cap on re-weighting rounds (per system).
-        tolerance_m: per-system convergence threshold on estimate motion.
+        tolerance_m: per-system floor of the stop threshold.
 
     Raises:
         ValueError: if any system is empty or the iteration parameters
             are non-positive.
     """
-    if max_iterations <= 0:
-        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
-    if tolerance_m <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance_m}")
-    members = list(systems)
+    _validate_iteration(max_iterations, tolerance_m)
+    members = [(system.matrix, system.rhs) for system in systems]
     if not members:
         return []
-    for system in members:
-        if system.equation_count == 0:
-            raise ValueError("cannot solve an empty system")
-
-    column_counts = {system.matrix.shape[1] for system in members}
-    if len(column_counts) > 1:
-        return [
-            solve_weighted_least_squares(
-                system,
-                weight_function=weight_function,
-                max_iterations=max_iterations,
-                tolerance_m=tolerance_m,
-            )
-            for system in members
-        ]
-
-    columns = next(iter(column_counts))
-    counts = np.array([system.equation_count for system in members])
-    max_rows = int(counts.max())
-    matrices = np.zeros((len(members), max_rows, columns))
-    rhs = np.zeros((len(members), max_rows))
-    mask = np.arange(max_rows)[np.newaxis, :] < counts[:, np.newaxis]
-    for index, system in enumerate(members):
-        matrices[index, : counts[index]] = system.matrix
-        rhs[index, : counts[index]] = system.rhs
-    return solve_weighted_least_squares_masked_batch(
-        matrices,
-        rhs,
-        mask,
-        weight_function=weight_function,
-        max_iterations=max_iterations,
-        tolerance_m=tolerance_m,
+    return _solve_members(
+        members,
+        weight_function,
+        max_iterations,
+        tolerance_m,
+        "batch",
     )

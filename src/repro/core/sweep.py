@@ -19,8 +19,11 @@ independent, though:
   ``d_r`` column and right-hand side are computed;
 * the per-cell IRLS solves collapse into one padded
   ``(cells, max_rows, dim + 2)`` assembly tensor handed to the masked
-  batch kernel (:func:`repro.core.solvers.solve_weighted_least_squares_masked_batch`),
-  whose solutions are bit-identical to the scalar solver.
+  batch entry (:func:`repro.core.solvers.solve_weighted_least_squares_masked_batch`)
+  of the float64 normal-equation kernel, which runs every cell in one
+  IRLS loop — Grams stacked per row count, one LAPACK call per round —
+  and stops each cell on its own standard error; its solutions are
+  bit-identical to the scalar solver.
 
 :func:`fused_sweep` therefore returns exactly the per-cell results (and
 per-cell ``ValueError`` rejections) the legacy per-cell dispatch would

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.localizer import LocalizationResult
-from repro.core.solvers import Solution
+from repro.core.solvers import Solution, residual_variance
 from repro.core.system import LinearSystem
 
 
@@ -41,13 +41,14 @@ class SolutionUncertainty:
         position_std_m: per-axis standard errors (position block only).
         residual_std: the estimated per-equation residual sigma (raw
             residual units, m²).
-        dof: degrees of freedom used in the variance estimate.
+        dof: effective degrees of freedom of the variance estimate,
+            ``Σ w - unknowns``.
     """
 
     covariance: np.ndarray
     position_std_m: np.ndarray
     residual_std: float
-    dof: int
+    dof: float
 
     @property
     def position_covariance(self) -> np.ndarray:
@@ -106,28 +107,27 @@ def estimate_uncertainty(
     matrix = system.matrix
     weights = solution.weights
     unknowns = matrix.shape[1]
-    # Effective sample size under weighting.
-    weight_sum = float(np.sum(weights))
-    dof = int(round(weight_sum)) - unknowns
-    if matrix.shape[0] <= unknowns or dof < 1:
+    # Effective degrees of freedom under weighting, as the IRLS kernel's.
+    dof = float(np.sum(weights)) - unknowns
+    if matrix.shape[0] <= unknowns or dof <= 0.0:
         raise ValueError(
             f"need more equations than unknowns for a variance estimate "
-            f"(rows {matrix.shape[0]}, unknowns {unknowns}, dof {dof})"
+            f"(rows {matrix.shape[0]}, unknowns {unknowns}, dof {dof:.2f})"
         )
     normal = matrix.T @ (weights[:, np.newaxis] * matrix)
     try:
         inverse = np.linalg.inv(normal)
     except np.linalg.LinAlgError as error:
         raise ValueError("normal matrix is singular (degenerate geometry)") from error
-    residual_variance = float(
-        np.sum(weights * solution.residuals**2) / dof
+    variance = float(
+        residual_variance(weights[np.newaxis], solution.residuals[np.newaxis], unknowns)[0]
     )
-    covariance = residual_variance * inverse
+    covariance = variance * inverse
     position_std = np.sqrt(np.clip(np.diag(covariance)[: system.dim], 0.0, None))
     return SolutionUncertainty(
         covariance=covariance,
         position_std_m=position_std,
-        residual_std=float(np.sqrt(residual_variance)),
+        residual_std=float(np.sqrt(variance)),
         dof=dof,
     )
 

@@ -115,7 +115,8 @@ class PreparedScan:
 
     Attributes:
         solve_points: included positions in the solve frame (rotated for
-            collinear 2D scans), shape ``(k, dim)``.
+            collinear 2D scans, cross coordinate exactly 0), shape
+            ``(k, dim)``.
         used_profile: preprocessed phases of the included reads.
         used_segments: segment ids of the included reads, or ``None``.
         reference_index: Eq. (6) reference, index into included reads.
@@ -432,6 +433,11 @@ class LionLocalizer:
             direction = self._principal_direction(used_points)
             frame_origin = used_points[0].copy()
             solve_points, rotation = to_line_frame_2d(used_points, frame_origin, direction)
+            # In the line frame the cross coordinate is rounding noise
+            # (~1e-16): left in, the solver would fit that column with a
+            # huge coefficient and variance. Zeroed, it is pinned like an
+            # axis-aligned line's, and the answer does not depend on the slant.
+            solve_points[:, 1] = 0.0
             missing_axis = 1
 
         delta_d = delta_distances(used_profile, reference_index, self.wavelength_m)

@@ -106,6 +106,24 @@ class TestNoisyAccuracy:
         error = np.linalg.norm(result.position - antenna.phase_center)
         assert error < 0.01
 
+    @pytest.mark.parametrize("slant_rad", [0.5, 2.0])
+    def test_slanted_noisy_line_solves_like_the_axis_aligned_one(self, slant_rad):
+        # In the line frame the cross coordinate is rounding noise; fitted,
+        # it drew a ~1e11 m coefficient and a slant-dependent answer.
+        x = np.linspace(-0.5, 0.5, 200)
+        aligned = np.stack([x, np.zeros_like(x)], axis=1)
+        noise = np.random.default_rng(3).normal(0.0, 0.03, x.size)
+        phases = np.mod(_wrapped_phases(aligned, np.array([0.15, 0.9])) + noise, TWO_PI)
+        cos, sin = np.cos(slant_rad), np.sin(slant_rad)
+        rotation = np.array([[cos, sin], [-sin, cos]])
+        localizer = LionLocalizer(dim=2)
+        expected = localizer.locate(aligned, phases)
+        result = localizer.locate(aligned @ rotation, phases)
+        assert result.solution.estimate[1] == 0.0
+        assert result.solution.position_std_m[1] == 0.0
+        assert result.solution.iterations == expected.solution.iterations
+        np.testing.assert_allclose(result.position @ rotation.T, expected.position, atol=1e-9)
+
 
 class TestHardwareOffsetsInvariance:
     def test_offsets_do_not_affect_result(self, rng):

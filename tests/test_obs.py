@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.solvers import (
+    solve_least_squares,
     solve_weighted_least_squares,
     solve_weighted_least_squares_batch,
 )
@@ -364,6 +365,24 @@ class TestSolverMetricsComparability:
             assert counter_value(scalar_snapshot, name, "scalar") == counter_value(
                 batch_snapshot, name, "batch"
             )
+
+
+    def test_position_std_histogram_records_each_solve(self):
+        systems = [_make_system(seed) for seed in range(4)]
+        enable_metrics()
+        scalar = [solve_weighted_least_squares(system) for system in systems]
+        batch = solve_weighted_least_squares_batch(systems)
+        solve_least_squares(systems[0])  # plain LS records no telemetry
+        histograms = {
+            entry["labels"]["solver"]: entry
+            for entry in get_registry().snapshot()["histograms"]
+            if entry["name"] == "solver.position_std_m"
+        }
+        assert set(histograms) == {"scalar", "batch"}
+        for solver, solutions in (("scalar", scalar), ("batch", batch)):
+            norms = [float(np.linalg.norm(s.position_std_m)) for s in solutions]
+            assert histograms[solver]["count"] == len(systems)
+            assert histograms[solver]["sum"] == pytest.approx(sum(norms), rel=1e-12)
 
 
 # -- process merge-back ----------------------------------------------------

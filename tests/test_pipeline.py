@@ -53,6 +53,16 @@ def _turntable_scene():
     return angles, phases, radius, antenna
 
 
+def _circle_scene(seed=7, noise=0.03, count=240):
+    """A full-rank 2D trajectory: a 0.3 m circle, Eq. (1) phases."""
+    rng = np.random.default_rng(seed)
+    angles = np.linspace(0.0, TWO_PI, count, endpoint=False)
+    positions = 0.3 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    distances = np.linalg.norm(positions - TRUTH_2D, axis=1)
+    phases = np.mod(K * distances + 0.7 + rng.normal(0.0, noise, count), TWO_PI)
+    return positions, phases
+
+
 class TestRegistry:
     def test_names_sorted_and_unique(self):
         names = pipeline.estimator_names()
@@ -302,6 +312,49 @@ class TestAdapters:
         for name in pipeline.estimator_names():
             with pytest.raises(ValueError, match="missing required fields"):
                 pipeline.estimate(name, empty)
+
+
+class TestLionStandardError:
+    """``diagnostics.position_std_m``: the solver's σ where it is world-frame."""
+
+    @staticmethod
+    def _request(scene):
+        positions, phases = scene
+        return pipeline.EstimationRequest(positions=positions, phases_rad=phases)
+
+    def test_full_rank_scan_reports_the_solver_sigma(self):
+        report = pipeline.estimate("lion", self._request(_circle_scene()), {"dim": 2})
+        sigma = report.diagnostics["position_std_m"]
+        assert report.diagnostics["recovered_axis"] is None
+        assert sigma == report.raw.solution.position_std_m.tolist()
+        assert len(sigma) == 2 and all(0.0 < value < 0.01 for value in sigma)
+
+    @pytest.mark.parametrize("slant_rad", [0.0, 0.5])
+    def test_line_scan_reports_none(self, slant_rad):
+        # The cross coordinate is recovered from d_r after the solve, where
+        # the solver pins it (sigma 0); a slanted line also solves rotated.
+        positions, phases = _linear_scene()
+        cos, sin = np.cos(slant_rad), np.sin(slant_rad)
+        positions = positions @ np.array([[cos, sin], [-sin, cos]])
+        report = pipeline.estimate(
+            "lion", self._request((positions, phases)), {"dim": 2, "interval_m": 0.25}
+        )
+        assert report.diagnostics["recovered_axis"] == 1
+        assert report.raw.solution.position_std_m[1] == 0.0
+        assert report.diagnostics["position_std_m"] is None
+
+    def test_batched_reports_carry_the_same_key(self):
+        from repro.serve.batching import execute_batch
+
+        requests = [self._request(_circle_scene()), self._request(_linear_scene())]
+        estimator = pipeline.create_estimator("lion", {"dim": 2})
+        scalar = [estimator.estimate(request) for request in requests]
+        batched = execute_batch(estimator, requests)
+        assert [r.diagnostics for r in batched] == [r.diagnostics for r in scalar]
+        assert batched[0].diagnostics["position_std_m"] is not None
+        # The float32 kernel forms no covariance.
+        single = execute_batch(estimator, requests, dtype="float32")
+        assert [r.diagnostics["position_std_m"] for r in single] == [None, None]
 
 
 class TestDeprecationShims:

@@ -20,7 +20,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.pipeline import estimate
+from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
+from repro.pipeline import EstimationRequest, estimate
 from repro.serve import ServeConfig
 from repro.serve.bench import build_requests
 from repro.serve.net import (
@@ -51,6 +52,26 @@ def _lion_body(seed=0, reads=64, **extra):
     }
     body.update(extra)
     return json.dumps(body).encode()
+
+
+def _circle_body(seed=14, reads=240):
+    """A full-rank 2D scan (a 0.3 m circle), unlike the line of ``_scan``."""
+    rng = np.random.default_rng(seed)
+    angles = np.linspace(0.0, TWO_PI, reads, endpoint=False)
+    positions = 0.3 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    distances = np.linalg.norm(positions - np.array([0.08, 0.85]), axis=1)
+    phases = np.mod(
+        2.0 * TWO_PI / DEFAULT_WAVELENGTH_M * distances
+        + 0.4
+        + rng.normal(0.0, 0.05, reads),
+        TWO_PI,
+    )
+    body = {
+        "estimator": "lion",
+        "request": {"positions": positions.tolist(), "phases_rad": phases.tolist()},
+    }
+    request = EstimationRequest(positions=positions, phases_rad=phases)
+    return request, json.dumps(body).encode()
 
 
 def _hologram_body(seed=0, reads=200, grid=0.01, **extra):
@@ -266,6 +287,19 @@ class TestHttpThreadMode:
         assert payload["shard"] == shard_for("lion", expected.config_hash, 2)
         assert payload["server_ms"] >= 0
 
+    def test_locate_reports_position_std(self, server):
+        # Full rank: the solver's per-axis sigma, as in process. A line
+        # scan recovers its cross coordinate from d_r: null.
+        request, body = _circle_body()
+        status, _, raw = _post(server.port, body)
+        assert status == 200
+        sigma = json.loads(raw)["diagnostics"]["position_std_m"]
+        assert sigma == estimate("lion", request).diagnostics["position_std_m"]
+        assert len(sigma) == 2 and all(value > 0.0 for value in sigma)
+        status, _, raw = _post(server.port, _lion_body(seed=15))
+        assert status == 200
+        assert json.loads(raw)["diagnostics"]["position_std_m"] is None
+
     def test_unknown_estimator_is_400(self, server):
         body = json.loads(_lion_body())
         body["estimator"] = "nope"
@@ -308,6 +342,20 @@ class TestHttpThreadMode:
         status, _, raw = _post(server.port, _lion_body(seed=13, deadline_ms=0.01))
         assert status == 504
         assert json.loads(raw)["error"]["kind"] == "deadline_exceeded"
+
+
+class TestFloat32Locate:
+    def test_float32_answers_carry_null_position_std(self):
+        config = _thread_config(
+            shards=1, engine=ServeConfig(dtype="float32", fuse_singletons=True)
+        )
+        with ServerHandle(config) as handle:
+            for body in (_circle_body()[1], _lion_body(seed=16)):
+                status, _, raw = _post(handle.port, body)
+                assert status == 200
+                diagnostics = json.loads(raw)["diagnostics"]
+                assert "position_std_m" in diagnostics
+                assert diagnostics["position_std_m"] is None
 
 
 class TestBackpressure:

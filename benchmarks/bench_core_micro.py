@@ -6,8 +6,8 @@ the WLS solve, the full LionLocalizer pipeline, and one hologram kernel
 evaluation for contrast.
 
 Run directly for the per-stage timing mode — the scalar request path
-split into validate / preprocess / prepare-scan / pair / assemble /
-solve, so a whole-path regression localizes to one stage::
+split into geometry / validate / preprocess / phase / pair / recipe /
+assemble / solve, so a whole-path regression localizes to one stage::
 
     PYTHONPATH=src python benchmarks/bench_core_micro.py --reads 400
 """
@@ -21,7 +21,7 @@ import pytest
 
 from repro.baselines.hologram import hologram_likelihood
 from repro.core.pairing import lag_pairs
-from repro.core.radical import radical_rows
+from repro.core.radical import AssemblyRecipe, radical_rows
 from repro.core.solvers import solve_weighted_least_squares
 from repro.core.system import build_system
 from repro.core.localizer import LionLocalizer
@@ -102,18 +102,18 @@ def run_stage_breakdown(reads: int = 400, repeats: int = 200, seed: int = 0) -> 
     """Time each stage of the scalar LION request path in isolation.
 
     The stages mirror :meth:`LionLocalizer.prepare` + ``_solve_prepared``:
-    ``validate`` (the input checks at the top of ``prepare``, replicated
-    here verbatim), ``preprocess`` (unwrap + smoothing),
-    ``prepare_scan`` (masking, reference pick, Eq. (6) deltas),
-    ``pair`` (pair selection), ``assemble`` (radical rows), and
-    ``solve`` (the scalar IRLS). Stage sums approximate but do not
-    exactly equal the end-to-end ``locate`` time (shared ``np.asarray``
-    coercions are paid once per stage here).
+    ``geometry`` (the geometry step :meth:`LionLocalizer.scan_template`:
+    position checks, masking, reference pick, degeneracy handling),
+    ``validate`` (the phase checks ``prepare`` runs next, replicated here
+    verbatim), ``preprocess`` (unwrap + smoothing), ``phase`` (the phase
+    step :meth:`LionLocalizer.complete_scan`: masked profile and Eq. (6)
+    deltas), ``pair`` (pair selection), ``recipe`` (the geometry half of
+    the radical rows, :class:`AssemblyRecipe`), ``assemble`` (its phase
+    half) and ``solve`` (the scalar IRLS). The template and recipe stages
+    are what the serve path's caches skip on a repeat geometry. Stage sums
+    approximate but do not exactly equal the end-to-end ``locate`` time
+    (shared ``np.asarray`` coercions are paid once per stage here).
     """
-    from repro.core.localizer import LionLocalizer
-    from repro.core.solvers import solve_weighted_least_squares
-    from repro.core.system import build_system
-
     rng = np.random.default_rng(seed)
     x = np.linspace(-0.6, 0.6, reads)
     positions = np.stack([x, np.zeros_like(x)], axis=1)
@@ -127,40 +127,34 @@ def run_stage_breakdown(reads: int = 400, repeats: int = 200, seed: int = 0) -> 
     localizer = LionLocalizer(dim=2, interval_m=0.25)
 
     def validate():
-        points = np.asarray(positions, dtype=float)
         raw = np.asarray(phases, dtype=float)
-        assert points.ndim == 2 and points.shape[1] in (2, 3)
-        assert raw.shape == (points.shape[0],)
-        assert points.shape[0] >= 3
-        assert np.all(np.isfinite(points))
+        assert raw.shape == (template.n_reads,)
         assert np.all(np.isfinite(raw))
 
+    template = localizer.scan_template(positions)
     profile = localizer.preprocess_phase(phases)
-    prepared = localizer._prepare_scan(positions, profile, None, None, None)
-    pairs = tuple(
-        localizer._auto_pairs(
-            prepared.solve_points, prepared.used_segments, localizer.interval_m
-        )
+    prepared = localizer.complete_scan(template, profile)
+    pairs = localizer._auto_pairs(
+        prepared.solve_points, prepared.used_segments, localizer.interval_m
     )
-    system = build_system(prepared.solve_points, prepared.delta_d, pairs)
+    recipe = AssemblyRecipe(pairs, prepared.solve_points, localizer.dim)
+    system = recipe.assemble(prepared.delta_d)
 
     stages = {
+        "geometry": _time_stage(lambda: localizer.scan_template(positions), repeats),
         "validate": _time_stage(validate, repeats),
         "preprocess": _time_stage(lambda: localizer.preprocess_phase(phases), repeats),
-        "prepare_scan": _time_stage(
-            lambda: localizer._prepare_scan(positions, profile, None, None, None),
-            repeats,
-        ),
+        "phase": _time_stage(lambda: localizer.complete_scan(template, profile), repeats),
         "pair": _time_stage(
             lambda: localizer._auto_pairs(
                 prepared.solve_points, prepared.used_segments, localizer.interval_m
             ),
             repeats,
         ),
-        "assemble": _time_stage(
-            lambda: build_system(prepared.solve_points, prepared.delta_d, pairs),
-            repeats,
+        "recipe": _time_stage(
+            lambda: AssemblyRecipe(pairs, prepared.solve_points, localizer.dim), repeats
         ),
+        "assemble": _time_stage(lambda: recipe.assemble(prepared.delta_d), repeats),
         "solve": _time_stage(lambda: solve_weighted_least_squares(system), repeats),
     }
     total = sum(stages.values())

@@ -18,15 +18,14 @@ across a recalibration hash differently and never share a cached result.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import replace
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.calib.store import CalibrationStore
+from repro.lru import BoundedLRU
 from repro.obs import get_registry, metrics_enabled
 from repro.pipeline.contract import EstimationRequest
 
@@ -44,13 +43,9 @@ class CalibrationResolver:
 
     def __init__(self, store: CalibrationStore, max_entries: int = 256) -> None:
         self.store = store
-        self._max_entries = max(1, int(max_entries))
-        self._lock = threading.Lock()
-        self._cache: "OrderedDict[_CacheKey, Tuple[np.ndarray, np.ndarray]]" = (
-            OrderedDict()
+        self._cache: BoundedLRU[_CacheKey, Tuple[np.ndarray, np.ndarray]] = BoundedLRU(
+            max(1, int(max_entries))
         )
-        self._hits = 0
-        self._misses = 0
 
     # -- lookup -----------------------------------------------------------
 
@@ -60,36 +55,24 @@ class CalibrationResolver:
         """Centers ``(n, dim)`` and relative offsets ``(n,)``, cached."""
         generation = self.store.generation
         key: _CacheKey = (antennas, dim, generation)
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._hits += 1
-                self._count("hit")
-                return cached
+        cached = self._cache.get(key)
+        if metrics_enabled():
+            result = "miss" if cached is None else "hit"
+            get_registry().counter("serve.calib.lookups_total", result=result).inc()
+        if cached is not None:
+            return cached
         centers = self.store.centers_for(antennas, dim=dim)
         offsets = self.store.offsets_for(antennas)
         centers.setflags(write=False)
         offsets.setflags(write=False)
         entry = (centers, offsets)
-        with self._lock:
-            self._misses += 1
-            self._count("miss")
-            # Entries from older generations are dead weight; drop them
-            # before the LRU bound, so the cache holds one generation.
-            stale = [k for k in self._cache if k[2] != generation]
-            for k in stale:
-                del self._cache[k]
-            self._cache[key] = entry
-            while len(self._cache) > self._max_entries:
-                self._cache.popitem(last=False)
+        # Entries from older generations are dead weight; drop them
+        # before the LRU bound, so the cache holds one generation.
+        self._cache.discard(lambda stale: stale[2] != generation)
+        self._cache.put(key, entry)
         if metrics_enabled():
             get_registry().gauge("serve.calib.generation").set(float(generation))
         return entry
-
-    def _count(self, result: str) -> None:
-        if metrics_enabled():
-            get_registry().counter("serve.calib.lookups_total", result=result).inc()
 
     # -- request rewriting ------------------------------------------------
 
@@ -127,21 +110,19 @@ class CalibrationResolver:
 
     def stats(self) -> Dict[str, Any]:
         """Cache counters for ``stats()`` / ``/statz`` payloads."""
-        with self._lock:
-            hits, misses, entries = self._hits, self._misses, len(self._cache)
-        total = hits + misses
+        info = self._cache.info()
+        total = info["hits"] + info["misses"]
         return {
             "generation": self.store.generation,
-            "entries": entries,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / total) if total else None,
+            "entries": info["size"],
+            "hits": info["hits"],
+            "misses": info["misses"],
+            "hit_rate": (info["hits"] / total) if total else None,
         }
 
     def invalidate(self) -> None:
         """Drop every cached entry (tests, manual store surgery)."""
-        with self._lock:
-            self._cache.clear()
+        self._cache.discard(lambda _key: True)
 
 
 def resolver_stats(resolver: Optional[CalibrationResolver]) -> Dict[str, Any]:

@@ -42,7 +42,6 @@ from repro.core.solvers import (
     solve_least_squares,
     solve_weighted_least_squares,
     solve_weighted_least_squares_batch,
-    solve_weighted_least_squares_masked_batch,
 )
 from repro.core.lowerdim import recover_coordinate_from_reference
 from repro.core.adaptive import (
@@ -116,7 +115,6 @@ __all__ = [
     "solve_least_squares",
     "solve_weighted_least_squares",
     "solve_weighted_least_squares_batch",
-    "solve_weighted_least_squares_masked_batch",
     "recover_coordinate_from_reference",
     "AdaptiveResult",
     "CellRejection",

@@ -234,7 +234,7 @@ def _adaptive_localize_impl(
     vectorized pass. With the serial executor (the default) the grid is
     solved through the fused engine of :mod:`repro.core.sweep`: one
     preparation per range window, cached pair selection, and a single
-    masked batch IRLS solve — bit-identical to the per-cell path, only
+    batch IRLS solve — bit-identical to the per-cell path, only
     faster. Pool executors keep the per-cell dispatch (cells are solved
     independently and collected in sweep order, so the result is
     identical on every backend); the process backend ships the shared

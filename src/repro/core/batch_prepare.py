@@ -17,14 +17,15 @@ Python, which bounded the whole stack once the solve was fused
   each group is padded only by its own membership, never with fake
   reads, so no padding value can leak into a real profile.
 
-* **Trajectory-template cache** — everything in a prepared scan except
-  the phase-dependent pieces (``used_profile``, ``delta_d``) depends
-  only on ``(positions, segments, mask, reference override, dim)``.
-  Repeat geometries — the dominant pattern in warehouse portals and the
-  streaming re-solve traffic of :mod:`repro.stream`, where many tags
-  re-read one deployment trajectory — hit a cross-call LRU keyed on
-  content digests and skip masking, reference selection, degeneracy
-  detection, and frame rotation entirely.
+* **Trajectory-template cache** — the geometry step
+  (:meth:`LionLocalizer.scan_template`: validation, masking, reference
+  selection, degeneracy detection and frame rotation) depends only on
+  ``(positions, segments, mask, reference override, dim)``. Its
+  :class:`~repro.core.localizer.ScanTemplate` is cached in a cross-call
+  LRU keyed on content digests, so repeat geometries — the dominant
+  pattern in warehouse portals and the streaming re-solve traffic of
+  :mod:`repro.stream`, where many tags re-read one deployment
+  trajectory — run only the phase step.
 
 * **Opt-in float32** — ``dtype=np.float32`` runs the phase pipeline in
   single precision for callers that trade exactness for throughput
@@ -41,16 +42,15 @@ batchmates are prepared exactly as if the bad member never existed.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import TWO_PI
-from repro.core.localizer import LionLocalizer, PreparedScan, TooFewReadsError
+from repro.core.localizer import LionLocalizer, PreparedScan, ScanTemplate
 from repro.core.sweep import content_digest
+from repro.lru import BoundedLRU
 from repro.obs import get_registry, metrics_enabled
 from repro.pipeline.contract import EstimationRequest
 
@@ -62,45 +62,6 @@ __all__ = [
     "prepare_batch",
     "template_cache_info",
 ]
-
-
-@dataclass(frozen=True)
-class ScanTemplate:
-    """The phase-independent half of one prepared scan.
-
-    Holds every :class:`~repro.core.localizer.PreparedScan` field that
-    depends only on the scan geometry, mask, and localizer dimension —
-    not on the phases — plus the include-index vector that maps the full
-    profile onto the masked reads. One template serves every request that
-    re-reads the same trajectory with fresh phases.
-
-    The arrays are shared, never copied, across the prepared scans built
-    from one template; callers must treat prepared fields as immutable
-    (the scalar path's callers already do — nothing downstream mutates a
-    prepared scan).
-    """
-
-    n_reads: int
-    include_indices: np.ndarray
-    solve_points: np.ndarray
-    used_segments: Optional[np.ndarray]
-    reference_index: int
-    missing_axis: Optional[int]
-    rotation: Optional[np.ndarray]
-    frame_origin: Optional[np.ndarray]
-
-    def complete(self, used_profile: np.ndarray, delta_d: np.ndarray) -> PreparedScan:
-        """Pair the geometry with one request's phase-dependent pieces."""
-        return PreparedScan(
-            solve_points=self.solve_points,
-            used_profile=used_profile,
-            used_segments=self.used_segments,
-            reference_index=self.reference_index,
-            missing_axis=self.missing_axis,
-            rotation=self.rotation,
-            frame_origin=self.frame_origin,
-            delta_d=delta_d,
-        )
 
 
 @dataclass
@@ -124,103 +85,19 @@ class PreparedMember:
 # cross-call trajectory-template cache
 # ---------------------------------------------------------------------------
 
-_TEMPLATE_CACHE: "OrderedDict[tuple, ScanTemplate]" = OrderedDict()
-_TEMPLATE_CACHE_LOCK = threading.Lock()
-_TEMPLATE_CACHE_MAX = 1024
-_template_cache_hits = 0
-_template_cache_misses = 0
+_TEMPLATE_CACHE: BoundedLRU[tuple, ScanTemplate] = BoundedLRU(1024)
 
 
 def template_cache_info() -> Dict[str, int]:
     """Hit/miss/size counters of the cross-call template cache."""
-    with _TEMPLATE_CACHE_LOCK:
-        return {
-            "hits": _template_cache_hits,
-            "misses": _template_cache_misses,
-            "size": len(_TEMPLATE_CACHE),
-            "max_size": _TEMPLATE_CACHE_MAX,
-        }
+    info = _TEMPLATE_CACHE.info()
+    info["max_size"] = info.pop("max_entries")
+    return info
 
 
 def clear_template_cache() -> None:
     """Empty the template cache and reset its counters (tests, benchmarks)."""
-    global _template_cache_hits, _template_cache_misses
-    with _TEMPLATE_CACHE_LOCK:
-        _TEMPLATE_CACHE.clear()
-        _template_cache_hits = 0
-        _template_cache_misses = 0
-
-
-def _template_lookup(key: tuple) -> Optional[ScanTemplate]:
-    """One cache probe, counting hits/misses (miss when absent)."""
-    global _template_cache_hits
-    with _TEMPLATE_CACHE_LOCK:
-        cached = _TEMPLATE_CACHE.get(key)
-        if cached is not None:
-            _TEMPLATE_CACHE.move_to_end(key)
-            _template_cache_hits += 1
-    if cached is not None and metrics_enabled():
-        get_registry().counter("serve.template_cache_hits").inc()
-    return cached
-
-
-def _template_store(key: tuple, template: ScanTemplate) -> None:
-    global _template_cache_misses
-    with _TEMPLATE_CACHE_LOCK:
-        _template_cache_misses += 1
-        _TEMPLATE_CACHE[key] = template
-        while len(_TEMPLATE_CACHE) > _TEMPLATE_CACHE_MAX:
-            _TEMPLATE_CACHE.popitem(last=False)
-    if metrics_enabled():
-        get_registry().counter("serve.template_cache_misses").inc()
-
-
-def _build_template(
-    localizer: LionLocalizer,
-    positions: np.ndarray,
-    segment_ids: Optional[np.ndarray],
-    exclude_mask: Optional[np.ndarray],
-    reference_index: Optional[int],
-) -> ScanTemplate:
-    """Run the geometry half of ``prepare()`` once for a new trajectory.
-
-    Validation mirrors :meth:`LionLocalizer.prepare` exactly (the
-    template key is a content digest, so a geometry that validated once
-    stays valid for every later hit). The phase-dependent work runs on a
-    placeholder profile and is discarded — geometry construction is the
-    cold path; the arrays it produces are reused across every cache hit.
-    """
-    points = np.asarray(positions, dtype=float)
-    if points.ndim != 2 or points.shape[1] not in (2, 3):
-        raise ValueError(f"positions must be (n, 2) or (n, 3), got {points.shape}")
-    if points.shape[0] < 3:
-        raise TooFewReadsError("need at least three reads to localize")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("positions contain non-finite values")
-
-    include = np.ones(points.shape[0], dtype=bool)
-    if exclude_mask is not None:
-        mask = np.asarray(exclude_mask, dtype=bool)
-        if mask.shape != include.shape:
-            raise ValueError("exclude_mask must match the number of reads")
-        include = ~mask
-    placeholder = np.zeros(points.shape[0], dtype=float)
-    prepared = localizer._prepare_scan(
-        points, placeholder, segment_ids, exclude_mask, reference_index
-    )
-    segments = (
-        np.asarray(segment_ids, dtype=int)[include] if segment_ids is not None else None
-    )
-    return ScanTemplate(
-        n_reads=int(points.shape[0]),
-        include_indices=np.flatnonzero(include),
-        solve_points=prepared.solve_points,
-        used_segments=segments,
-        reference_index=prepared.reference_index,
-        missing_axis=prepared.missing_axis,
-        rotation=prepared.rotation,
-        frame_origin=prepared.frame_origin,
-    )
+    _TEMPLATE_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +240,21 @@ def prepare_batch(
             member.scan_key = (pos_key, seg_key)
             member.mask_key = mask_key
             key = (pos_key, seg_key, mask_key, request.reference_index, localizer.dim)
-            template = _template_lookup(key)
+            template = _TEMPLATE_CACHE.get(key)
+            if metrics_enabled():
+                get_registry().counter(
+                    "serve.template_cache_misses"
+                    if template is None
+                    else "serve.template_cache_hits"
+                ).inc()
             if template is None:
-                template = _build_template(
-                    localizer,
+                template = localizer.scan_template(
                     positions,
                     request.segment_ids,
                     request.exclude_mask,
                     request.reference_index,
                 )
-                _template_store(key, template)
+                _TEMPLATE_CACHE.put(key, template)
             if phases.shape != (template.n_reads,):
                 raise ValueError(
                     f"phases must have shape ({template.n_reads},), got {phases.shape}"

@@ -45,9 +45,7 @@ from repro.core.localizer import (
     PreparedScan,
     TooFewReadsError,
 )
-from repro.core.solvers import solve_least_squares, solve_weighted_least_squares
 from repro.core.sweep import cached_assembly_recipe, content_digest
-from repro.core.weights import gaussian_residual_weights
 
 _TWO_PI = 2.0 * np.pi
 
@@ -203,20 +201,21 @@ class IncrementalScanAssembler:
         """
         if len(self._phases) < 3:
             raise TooFewReadsError("need at least three reads to localize")
-        positions = np.array(self._positions, dtype=float)
-        profile = self.window_profile()
-        return self.localizer._prepare_scan(
-            positions, profile, self.window_segments(), None, reference_index
+        template = self.localizer.scan_template(
+            np.array(self._positions, dtype=float),
+            self.window_segments(),
+            reference_index=reference_index,
         )
+        return self.localizer.complete_scan(template, self.window_profile())
 
     def resolve(self, interval_m: float | None = None) -> LocalizationResult:
         """Windowed re-solve, bit-identical to ``locate`` on the same window.
 
-        Pairs and phase-independent radical-row geometry go through the
+        Pairs and phase-independent radical-row geometry come from the
         cross-call recipe cache (:func:`cached_assembly_recipe`) keyed on
         window content, exactly like the serving engine's fused batch
-        path; the (W)LS solve and lower-dimension recovery mirror
-        :meth:`LionLocalizer._solve_prepared`.
+        path; the solve and lower-dimension recovery are
+        :meth:`LionLocalizer._solve_prepared` on that recipe.
         """
         prepared = self.prepare()
         positions = np.array(self._positions, dtype=float)
@@ -228,17 +227,7 @@ class IncrementalScanAssembler:
             scan_key,
             content_digest(None),
         )
-        system = recipe.assemble(prepared.delta_d)
-        if self.localizer.method == "wls":
-            solution = solve_weighted_least_squares(
-                system,
-                weight_function=gaussian_residual_weights,
-                max_iterations=self.localizer.max_iterations,
-                tolerance_m=self.localizer.tolerance_m,
-            )
-        else:
-            solution = solve_least_squares(system)
-        return self.localizer._finalize_solution(prepared, system, solution)
+        return self.localizer._solve_prepared(prepared, recipe=recipe)
 
     def reset(self) -> None:
         """Drop the whole window (new target / new session)."""

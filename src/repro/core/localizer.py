@@ -22,12 +22,13 @@ from repro.core.lowerdim import (
     recover_coordinate_from_reference,
 )
 from repro.core.pairing import lag_pairs, spacing_pairs, three_line_pairs
+from repro.core.radical import AssemblyRecipe, LinearSystem
 from repro.core.solvers import (
     Solution,
     solve_least_squares,
     solve_weighted_least_squares,
 )
-from repro.core.system import LinearSystem, build_system, delta_distances
+from repro.core.system import delta_distances
 from repro.core.weights import gaussian_residual_weights
 from repro.geometry.transforms import to_line_frame_2d
 from repro.obs import span, tracing_enabled
@@ -105,13 +106,12 @@ class LocalizationResult:
 class PreparedScan:
     """A scan reduced to its solve-ready, pairing-independent pieces.
 
-    Produced by :meth:`LionLocalizer._prepare_scan`: mask application,
-    reference selection, degeneracy detection / frame rotation, and the
-    Eq. (6) distance differences. Everything here depends only on the
-    (masked) geometry and the preprocessed profile — not on the pairing
-    interval — which is what lets the fused adaptive sweep
-    (:mod:`repro.core.sweep`) prepare each distinct range window once and
-    reuse it across every interval.
+    A :class:`ScanTemplate` (the geometry step of
+    :meth:`LionLocalizer.prepare`) completed by the phase step: the
+    masked preprocessed profile and its Eq. (6) distance differences.
+    Nothing here depends on the pairing interval, which is what lets the
+    fused adaptive sweep (:mod:`repro.core.sweep`) prepare each distinct
+    range window once and reuse it across every interval.
 
     Attributes:
         solve_points: included positions in the solve frame (rotated for
@@ -133,6 +133,45 @@ class PreparedScan:
     rotation: np.ndarray | None
     frame_origin: np.ndarray | None
     delta_d: np.ndarray
+
+
+@dataclass(frozen=True)
+class ScanTemplate:
+    """The geometry step's output: every phase-independent part of a scan.
+
+    Built by :meth:`LionLocalizer.scan_template` from the positions,
+    segment ids, exclusion mask, reference override and the localizer's
+    dimension alone, validated once. The include-index vector maps a
+    full-scan profile onto the masked reads. One template serves every
+    scan that re-reads the same trajectory with fresh phases, which is
+    what the batched serve path caches.
+
+    The arrays are shared, never copied, across the prepared scans built
+    from one template; callers must treat prepared fields as immutable
+    (nothing downstream mutates a prepared scan).
+    """
+
+    n_reads: int
+    include_indices: np.ndarray
+    solve_points: np.ndarray
+    used_segments: np.ndarray | None
+    reference_index: int
+    missing_axis: int | None
+    rotation: np.ndarray | None
+    frame_origin: np.ndarray | None
+
+    def complete(self, used_profile: np.ndarray, delta_d: np.ndarray) -> PreparedScan:
+        """Pair the geometry with one scan's phase-dependent pieces."""
+        return PreparedScan(
+            solve_points=self.solve_points,
+            used_profile=used_profile,
+            used_segments=self.used_segments,
+            reference_index=self.reference_index,
+            missing_axis=self.missing_axis,
+            rotation=self.rotation,
+            frame_origin=self.frame_origin,
+            delta_d=delta_d,
+        )
 
 
 @dataclass
@@ -326,85 +365,92 @@ class LionLocalizer:
     ) -> PreparedScan:
         """Validate, preprocess, and reduce one scan to its solve-ready pieces.
 
-        This is exactly the front half of :meth:`locate` — input validation,
-        phase preprocessing, and :meth:`_prepare_scan` — split out so batch
-        engines (:mod:`repro.serve`) can run it per request and then fuse the
-        remaining pair/assemble/solve work across requests. ``locate`` is
-        ``prepare`` + ``_solve_prepared``, so results stay bit-identical.
+        This is exactly the front half of :meth:`locate`: the geometry
+        step (:meth:`scan_template`), then the phase checks, phase
+        preprocessing and the phase step (:meth:`complete_scan`). Split
+        out so batch engines (:mod:`repro.serve`) can run it per request
+        and then fuse the remaining pair/assemble/solve work across
+        requests. ``locate`` is ``prepare`` + ``_solve_prepared``, so
+        results stay bit-identical.
 
         Copy contract: inputs are never mutated, and the returned
         :class:`PreparedScan` never aliases caller arrays — every array it
-        carries is produced by boolean-mask indexing or arithmetic, both
-        of which allocate. ``assume_preprocessed`` therefore uses the
-        caller's phase array in place (read-only) instead of defensively
-        copying it; sweep engines call this per candidate window, so that
-        copy was pure overhead.
+        carries is produced by index gathers or arithmetic, both of which
+        allocate. ``assume_preprocessed`` therefore uses the caller's
+        phase array in place (read-only) instead of defensively copying
+        it; sweep engines call this per candidate window, so that copy was
+        pure overhead.
 
         Raises:
             TooFewReadsError / DegenerateGeometryError / ValueError: as on
-                :meth:`locate`.
+                :meth:`locate`. Geometry faults are reported before phase
+                faults.
         """
-        points = np.asarray(positions, dtype=float)
+        template = self.scan_template(positions, segment_ids, exclude_mask, reference_index)
         phases = np.asarray(wrapped_phase_rad, dtype=float)
-        if points.ndim != 2 or points.shape[1] not in (2, 3):
-            raise ValueError(f"positions must be (n, 2) or (n, 3), got {points.shape}")
-        if phases.shape != (points.shape[0],):
+        if phases.shape != (template.n_reads,):
             raise ValueError(
-                f"phases must have shape ({points.shape[0]},), got {phases.shape}"
+                f"phases must have shape ({template.n_reads},), got {phases.shape}"
             )
-        if points.shape[0] < 3:
-            raise TooFewReadsError("need at least three reads to localize")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("positions contain non-finite values")
         if not np.all(np.isfinite(phases)):
             raise ValueError(
                 "phases contain non-finite values; filter failed reads upstream"
             )
-
-        if assume_preprocessed:
-            profile = phases  # read-only from here; _prepare_scan copies via masking
-        else:
-            profile = self.preprocess_phase(
+        if not assume_preprocessed:
+            phases = self.preprocess_phase(
                 phases,
                 segment_ids=np.asarray(segment_ids, dtype=int)
                 if segment_ids is not None
                 else None,
             )
+        return self.complete_scan(template, phases)
 
-        return self._prepare_scan(
-            points, profile, segment_ids, exclude_mask, reference_index
-        )
-
-    def _prepare_scan(
+    def scan_template(
         self,
-        points: np.ndarray,
-        profile: np.ndarray,
-        segment_ids: np.ndarray | None,
-        exclude_mask: np.ndarray | None,
-        reference_index: int | None,
-    ) -> PreparedScan:
-        """Mask, pick the reference, handle degeneracy, compute Eq. (6).
+        positions: np.ndarray,
+        segment_ids: np.ndarray | None = None,
+        exclude_mask: np.ndarray | None = None,
+        reference_index: int | None = None,
+    ) -> ScanTemplate:
+        """The geometry step of :meth:`prepare`; no phases involved.
 
-        ``points`` and ``profile`` are the full validated position matrix
-        and preprocessed phase profile; the result depends only on them,
-        the mask, and the localizer configuration — not on the pairing
-        interval — so sweep engines prepare each distinct mask once.
+        Validates the positions, applies the mask, picks the Eq. (6)
+        reference read and handles degeneracy (missing-axis detection,
+        line-frame rotation of a collinear 2D scan). The result depends
+        only on the arguments and ``dim``, so callers that see one
+        trajectory many times (the serve template cache, the fused
+        sweep's range windows) run it once per geometry.
+
+        Raises:
+            TooFewReadsError: with fewer than three reads, before or after
+                masking.
+            DegenerateGeometryError: on an unobservable geometry.
+            ValueError: on malformed positions, mask, segment ids or
+                reference index.
         """
+        points = np.asarray(positions, dtype=float)
+        if points.ndim != 2 or points.shape[1] not in (2, 3):
+            raise ValueError(f"positions must be (n, 2) or (n, 3), got {points.shape}")
+        if points.shape[0] < 3:
+            raise TooFewReadsError("need at least three reads to localize")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("positions contain non-finite values")
         include = np.ones(points.shape[0], dtype=bool)
         if exclude_mask is not None:
             mask = np.asarray(exclude_mask, dtype=bool)
             if mask.shape != include.shape:
                 raise ValueError("exclude_mask must match the number of reads")
             include = ~mask
+        used_segments = None
+        if segment_ids is not None:
+            segments = np.asarray(segment_ids, dtype=int)
+            if segments.shape != include.shape:
+                raise ValueError("segment_ids must match the number of reads")
+            used_segments = segments[include]
         if int(np.count_nonzero(include)) < 3:
             raise TooFewReadsError("need at least three included reads")
 
-        used_points_full = points[include]
-        used_profile = profile[include]
-        used_segments = (
-            np.asarray(segment_ids, dtype=int)[include] if segment_ids is not None else None
-        )
-
+        used_points = points[include]
         if reference_index is None:
             if used_segments is not None:
                 # Middle of the most-populated sweep: keeps the reference
@@ -415,12 +461,13 @@ class LionLocalizer:
                 members = np.flatnonzero(used_segments == largest)
                 reference_index = int(members[members.size // 2])
             else:
-                reference_index = used_profile.shape[0] // 2
-        if not 0 <= reference_index < used_profile.shape[0]:
+                reference_index = used_points.shape[0] // 2
+        if not 0 <= reference_index < used_points.shape[0]:
             raise ValueError("reference index out of range of included reads")
 
-        used_points = used_points_full[:, : self.dim] if self.dim == 2 else used_points_full
-        if self.dim == 3 and used_points.shape[1] == 2:
+        if self.dim == 2:
+            used_points = used_points[:, :2]
+        elif used_points.shape[1] == 2:
             used_points = np.hstack([used_points, np.zeros((used_points.shape[0], 1))])
 
         # Degeneracy handling: find the axis (if any) the scan never moves
@@ -440,16 +487,27 @@ class LionLocalizer:
             solve_points[:, 1] = 0.0
             missing_axis = 1
 
-        delta_d = delta_distances(used_profile, reference_index, self.wavelength_m)
-        return PreparedScan(
+        return ScanTemplate(
+            n_reads=int(points.shape[0]),
+            include_indices=np.flatnonzero(include),
             solve_points=solve_points,
-            used_profile=used_profile,
             used_segments=used_segments,
             reference_index=reference_index,
             missing_axis=missing_axis,
             rotation=rotation,
             frame_origin=frame_origin,
-            delta_d=delta_d,
+        )
+
+    def complete_scan(self, template: ScanTemplate, profile: np.ndarray) -> PreparedScan:
+        """The phase step of :meth:`prepare`: mask a preprocessed profile, apply Eq. (6).
+
+        ``profile`` is the full-scan preprocessed phase profile, one entry
+        per read of the scan ``template`` was built from.
+        """
+        used_profile = profile[template.include_indices]
+        return template.complete(
+            used_profile,
+            delta_distances(used_profile, template.reference_index, self.wavelength_m),
         )
 
     def _solve_prepared(
@@ -457,17 +515,22 @@ class LionLocalizer:
         prepared: PreparedScan,
         pairs: Sequence[Tuple[int, int]] | None = None,
         interval_m: float | None = None,
+        recipe: AssemblyRecipe | None = None,
     ) -> LocalizationResult:
-        """Pair, assemble, and solve one prepared scan."""
-        if pairs is None:
-            pairs = self._auto_pairs(
-                prepared.solve_points,
-                prepared.used_segments,
-                interval_m or self.interval_m,
-            )
-        system = build_system(
-            prepared.solve_points, prepared.delta_d, pairs, dim=self.dim
-        )
+        """Pair, assemble, and solve one prepared scan.
+
+        A caller holding a cached ``recipe`` for this scan's geometry
+        (streaming re-solves) passes it instead of ``pairs``/``interval_m``.
+        """
+        if recipe is None:
+            if pairs is None:
+                pairs = self._auto_pairs(
+                    prepared.solve_points,
+                    prepared.used_segments,
+                    interval_m or self.interval_m,
+                )
+            recipe = AssemblyRecipe(pairs, prepared.solve_points, self.dim)
+        system = recipe.assemble(prepared.delta_d)
         if self.method == "wls":
             solution = solve_weighted_least_squares(
                 system,

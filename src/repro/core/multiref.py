@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.constants import DEFAULT_WAVELENGTH_M
 from repro.core.pairing import spacing_pairs
+from repro.core.radical import AssemblyRecipe
 from repro.core.system import delta_distances
 from repro.core.weights import gaussian_residual_weights
 from repro.signalproc.smoothing import smooth_phase_profile
@@ -119,43 +120,23 @@ def build_multireference_system(
         dim = points.shape[1]
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    if dim == 2 and points.shape[1] == 3:
-        points = points[:, :2]
-    elif dim == 3 and points.shape[1] == 2:
-        points = np.hstack([points, np.zeros((n, 1))])
-    if len(pairs) == 0:
-        raise ValueError("need at least one pair")
-
-    distinct = tuple(int(v) for v in np.unique(runs))
-    column_of = {run: dim + index for index, run in enumerate(distinct)}
-
-    index = np.asarray(pairs, dtype=int)
-    if index.min() < 0 or index.max() >= n:
-        raise ValueError("pair index out of range")
-    run_i = runs[index[:, 0]]
-    run_j = runs[index[:, 1]]
-    if np.any(run_i != run_j):
+    recipe = AssemblyRecipe(pairs, points, dim)
+    run_i = runs[recipe.index_i]
+    if np.any(run_i != runs[recipe.index_j]):
         raise ValueError("pairs must not cross runs (phase data are not comparable)")
 
-    pi = points[index[:, 0]]
-    pj = points[index[:, 1]]
-    if np.any(np.all(np.isclose(pi, pj), axis=1)):
-        raise ValueError("radical equation undefined for coincident tag positions")
-    di = deltas[index[:, 0]]
-    dj = deltas[index[:, 1]]
-
-    matrix = np.zeros((index.shape[0], dim + len(distinct)))
-    matrix[:, :dim] = 2.0 * (pi - pj)
-    omega = 2.0 * (di - dj)
-    for row, run in enumerate(run_i):
-        matrix[row, column_of[int(run)]] = omega[row]
-    rhs = (
-        np.einsum("ij,ij->i", pi, pi)
-        - np.einsum("ij,ij->i", pj, pj)
-        - di**2
-        + dj**2
+    # The single-reference rows, with each row's d_r coefficient moved to
+    # its run's column.
+    rows = recipe.assemble(deltas)
+    distinct = np.unique(runs)
+    matrix = np.zeros((rows.equation_count, dim + distinct.size))
+    matrix[:, :dim] = rows.matrix[:, :dim]
+    matrix[np.arange(rows.equation_count), dim + np.searchsorted(distinct, run_i)] = (
+        rows.matrix[:, dim]
     )
-    return MultiReferenceSystem(matrix=matrix, rhs=rhs, dim=dim, run_ids=distinct)
+    return MultiReferenceSystem(
+        matrix=matrix, rhs=rows.rhs, dim=dim, run_ids=tuple(int(v) for v in distinct)
+    )
 
 
 def solve_multireference(

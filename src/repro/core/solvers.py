@@ -575,56 +575,6 @@ def solve_weighted_least_squares(
     return solution
 
 
-def solve_weighted_least_squares_masked_batch(
-    matrices: np.ndarray,
-    rhs: np.ndarray,
-    row_mask: np.ndarray,
-    weight_function: WeightFunction = gaussian_residual_weights,
-    max_iterations: int = 20,
-    tolerance_m: float = 1e-6,
-) -> List[Solution]:
-    """Solve a padded stack of weighted-LS systems through the IRLS kernel.
-
-    The throughput entry point for sweep-style workloads (one member per
-    adaptive grid cell): member ``i`` consists of the rows of
-    ``matrices[i]`` / ``rhs[i]`` where ``row_mask[i]`` is True, in order;
-    padding rows may sit anywhere and are dropped before the solve.
-    Members sharing a row count run as one stack with per-member stopping
-    and re-weighting, so every returned :class:`Solution` is
-    **bit-identical** to :func:`solve_weighted_least_squares` on the
-    corresponding compact system; a member the normal equations cannot
-    solve is ejected to the factored solve alone, never poisoning the
-    batch.
-
-    Args:
-        matrices: coefficient stack, shape ``(b, max_rows, n)``.
-        rhs: right-hand sides, shape ``(b, max_rows)``.
-        row_mask: boolean validity mask, shape ``(b, max_rows)``.
-        weight_function: residuals -> weights map, applied per member to
-            its valid residual slice.
-        max_iterations: cap on re-weighting rounds (per member).
-        tolerance_m: per-member floor of the stop threshold.
-
-    Raises:
-        ValueError: on shape mismatches, an all-padding member, or
-            non-positive iteration parameters.
-    """
-    _validate_iteration(max_iterations, tolerance_m)
-    stack = np.asarray(matrices, dtype=float)
-    targets = np.asarray(rhs, dtype=float)
-    mask = np.asarray(row_mask, dtype=bool)
-    _validate_stack(stack, targets, mask)
-    if stack.shape[0] == 0:
-        return []
-    members = [
-        (stack[index][mask[index]], targets[index][mask[index]])
-        for index in range(stack.shape[0])
-    ]
-    return _solve_members(
-        members, weight_function, max_iterations, tolerance_m, "batch"
-    )
-
-
 def _gaussian_weights_rowwise(
     residuals: np.ndarray, mask: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:

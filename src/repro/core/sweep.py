@@ -7,22 +7,23 @@ per-cell pairing, per-cell scalar IRLS. The cells are far from
 independent, though:
 
 * every cell of one grid *row* shares the same range-window mask, so
-  masking / reference selection / degeneracy handling / Eq. (6) collapse
-  to one :meth:`LionLocalizer._prepare_scan` per distinct mask;
+  the geometry step (:meth:`LionLocalizer.scan_template`: masking,
+  reference selection, degeneracy handling) and the phase step's
+  Eq. (6) deltas run once per distinct mask;
 * pair selection — and the geometry half of the radical rows (Eq. 7):
   the spatial coefficients ``2 (p_i - p_j)`` and the position term of the
   right-hand side — depend only on the masked geometry and the interval,
-  never on the phases, so each distinct ``(mask, interval)`` assembly
-  recipe is built exactly once and *cached across calls* (Monte-Carlo
-  trials re-use one trajectory with fresh phase noise, hitting the cache
-  every sweep after the first); per trial only the phase-dependent
-  ``d_r`` column and right-hand side are computed;
-* the per-cell IRLS solves collapse into one padded
-  ``(cells, max_rows, dim + 2)`` assembly tensor handed to the masked
-  batch entry (:func:`repro.core.solvers.solve_weighted_least_squares_masked_batch`)
-  of the float64 normal-equation kernel, which runs every cell in one
-  IRLS loop — Grams stacked per row count, one LAPACK call per round —
-  and stops each cell on its own standard error; its solutions are
+  never on the phases, so each distinct ``(mask, interval)``
+  :class:`~repro.core.radical.AssemblyRecipe` is built exactly once and
+  *cached across calls* (Monte-Carlo trials re-use one trajectory with
+  fresh phase noise, hitting the cache every sweep after the first); per
+  trial only the phase-dependent ``d_r`` column and right-hand side are
+  computed;
+* the per-cell IRLS solves collapse into one call of
+  :func:`repro.core.solvers.solve_weighted_least_squares_batch`, the
+  float64 normal-equation kernel, which runs every cell in one IRLS
+  loop — Grams stacked per row count, one LAPACK call per round — and
+  stops each cell on its own standard error; its solutions are
   bit-identical to the scalar solver.
 
 :func:`fused_sweep` therefore returns exactly the per-cell results (and
@@ -34,22 +35,16 @@ equivalence bitwise.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.localizer import LionLocalizer, LocalizationResult, PreparedScan
-from repro.core.solvers import (
-    solve_least_squares,
-    solve_weighted_least_squares_masked_batch,
-)
-from repro.core.system import LinearSystem
+from repro.core.radical import AssemblyRecipe, LinearSystem
+from repro.core.solvers import solve_least_squares, solve_weighted_least_squares_batch
 from repro.core.weights import gaussian_residual_weights
+from repro.lru import BoundedLRU
 from repro.obs import get_registry, metrics_enabled
-
-Pair = Tuple[int, int]
 
 #: One grid cell: ``(range_m, interval_m, row)`` where ``row`` indexes the
 #: stacked exclusion-mask matrix (one row per distinct range window).
@@ -63,116 +58,19 @@ CellResult = Union[LocalizationResult, ValueError]
 # cross-call pairing / assembly-recipe cache
 # ---------------------------------------------------------------------------
 
-
-class _AssemblyRecipe:
-    """The phase-independent half of one cell's radical system.
-
-    Caches the pair selection and the geometry terms of
-    :func:`repro.core.radical.radical_rows` — the spatial coefficients
-    ``2 (p_i - p_j)``, the position part ``|p_i|^2 - |p_j|^2`` of the
-    right-hand side, and the pair index columns. :meth:`assemble` then
-    completes the system from one trial's ``delta_d`` with exactly the
-    operations (and operation order) ``build_system`` would run, so the
-    assembled system is bit-identical to an uncached build.
-    """
-
-    __slots__ = (
-        "pairs",
-        "index_i",
-        "index_j",
-        "spatial",
-        "squared",
-        "dim",
-        "_spatial32",
-        "_squared32",
-    )
-
-    def __init__(
-        self,
-        pairs: Tuple[Pair, ...],
-        points: np.ndarray,
-        dim: int,
-    ):
-        # Mirror build_system's dimension promotion before any geometry.
-        points = np.asarray(points, dtype=float)
-        if dim == 2 and points.shape[1] == 3:
-            points = points[:, :2]
-        elif dim == 3 and points.shape[1] == 2:
-            points = np.hstack([points, np.zeros((points.shape[0], 1))])
-        # Mirror radical_rows' validation; everything here is
-        # phase-independent, so a failure is deterministic per cache key
-        # and re-raised on every call exactly like the uncached path.
-        if len(pairs) == 0:
-            raise ValueError("need at least one pair of reads")
-        index = np.asarray(pairs, dtype=int)
-        if index.min() < 0 or index.max() >= points.shape[0]:
-            raise ValueError("pair index out of range")
-        pi = points[index[:, 0]]
-        pj = points[index[:, 1]]
-        if np.any(np.all(np.isclose(pi, pj), axis=1)):
-            raise ValueError(
-                "radical equation undefined for coincident tag positions"
-            )
-        self.pairs = pairs
-        self.index_i = np.ascontiguousarray(index[:, 0])
-        self.index_j = np.ascontiguousarray(index[:, 1])
-        self.spatial = 2.0 * (pi - pj)
-        self.squared = np.einsum("ij,ij->i", pi, pi) - np.einsum(
-            "ij,ij->i", pj, pj
-        )
-        self.dim = dim
-        self._spatial32: np.ndarray | None = None
-        self._squared32: np.ndarray | None = None
-
-    def assemble(self, delta_d: np.ndarray) -> LinearSystem:
-        """Complete the system from one trial's distance differences."""
-        di = delta_d[self.index_i]
-        dj = delta_d[self.index_j]
-        matrix = np.empty((self.spatial.shape[0], self.dim + 1))
-        matrix[:, : self.dim] = self.spatial
-        matrix[:, self.dim] = 2.0 * (di - dj)
-        rhs = self.squared - di**2 + dj**2
-        return LinearSystem(matrix=matrix, rhs=rhs, dim=self.dim)
-
-    def geometry32(self) -> tuple[np.ndarray, np.ndarray]:
-        """Float32 casts of the geometry terms, computed once per recipe.
-
-        The serving engine's float32 pipeline assembles padded system
-        stacks directly from these; recipes are cached cross-call, so the
-        cast amortizes to zero over repeat-trajectory traffic. The lazy
-        fill is idempotent, so a racing double-compute is harmless.
-        """
-        if self._spatial32 is None or self._squared32 is None:
-            self._spatial32 = self.spatial.astype(np.float32)
-            self._squared32 = self.squared.astype(np.float32)
-        return self._spatial32, self._squared32
-
-
-_PAIR_CACHE: "OrderedDict[tuple, _AssemblyRecipe]" = OrderedDict()
-_PAIR_CACHE_LOCK = threading.Lock()
-_PAIR_CACHE_MAX = 1024
-_pair_cache_hits = 0
-_pair_cache_misses = 0
+_PAIR_CACHE: BoundedLRU[tuple, AssemblyRecipe] = BoundedLRU(1024)
 
 
 def pair_cache_info() -> Dict[str, int]:
     """Hit/miss/size counters of the cross-call pairing cache."""
-    with _PAIR_CACHE_LOCK:
-        return {
-            "hits": _pair_cache_hits,
-            "misses": _pair_cache_misses,
-            "size": len(_PAIR_CACHE),
-            "max_size": _PAIR_CACHE_MAX,
-        }
+    info = _PAIR_CACHE.info()
+    info["max_size"] = info.pop("max_entries")
+    return info
 
 
 def clear_pair_cache() -> None:
     """Empty the pairing cache and reset its counters (tests, benchmarks)."""
-    global _pair_cache_hits, _pair_cache_misses
-    with _PAIR_CACHE_LOCK:
-        _PAIR_CACHE.clear()
-        _pair_cache_hits = 0
-        _pair_cache_misses = 0
+    _PAIR_CACHE.clear()
 
 
 def _digest(array: np.ndarray) -> bytes:
@@ -201,57 +99,32 @@ def cached_assembly_recipe(
     interval_m: float,
     scan_key: Tuple[bytes, bytes],
     mask_key: bytes,
-) -> "_AssemblyRecipe":
-    """Public entry to the cross-call pairing/assembly cache.
-
-    Used by :mod:`repro.serve` to share pair selection and the
-    phase-independent radical-row geometry across concurrent requests that
-    observe the same trajectory — the dominant serving pattern, where many
-    devices re-read one deployment geometry with fresh phases. The returned
-    recipe's :meth:`_AssemblyRecipe.assemble` completes a
-    :class:`~repro.core.system.LinearSystem` bit-identical to
-    ``build_system`` from one request's ``delta_d``.
-    """
-    return _cached_recipe(localizer, prepared, interval_m, scan_key, mask_key)
-
-
-def _cached_recipe(
-    localizer: LionLocalizer,
-    prepared: PreparedScan,
-    interval_m: float,
-    scan_key: Tuple[bytes, bytes],
-    mask_key: bytes,
-) -> _AssemblyRecipe:
+) -> AssemblyRecipe:
     """Pairing + assembly recipe memoized on ``(scan, mask, dim, interval)``.
 
-    Pair selection and the radical-row geometry read only the masked
-    positions (and segment structure) — not the phases — so the key needs
-    no profile digest and the cache carries across Monte-Carlo trials
-    that re-noise one trajectory. Failures (``ValueError``) are not
-    cached; they propagate per call like the scalar path.
+    Shares pair selection and the phase-independent radical-row geometry
+    across every solve that observes the same trajectory: the fused
+    sweep's cells, concurrent serve requests (many devices re-reading one
+    deployment geometry with fresh phases) and streaming re-solves. Pair
+    selection and the row geometry read only the masked positions (and
+    segment structure), not the phases, so the key needs no profile
+    digest and the cache carries across Monte-Carlo trials that re-noise
+    one trajectory. The recipe's :meth:`~repro.core.radical.AssemblyRecipe.assemble`
+    completes a system bit-identical to ``build_system`` from one scan's
+    ``delta_d``. Failures (``ValueError``) are not cached; they propagate
+    per call like the scalar path.
     """
-    global _pair_cache_hits, _pair_cache_misses
     key = (scan_key, mask_key, localizer.dim, float(interval_m))
-    with _PAIR_CACHE_LOCK:
-        cached = _PAIR_CACHE.get(key)
-        if cached is not None:
-            _PAIR_CACHE.move_to_end(key)
-            _pair_cache_hits += 1
-    if cached is not None:
-        if metrics_enabled():
-            get_registry().counter("adaptive.pair_cache_total", result="hit").inc()
-        return cached
-    pairs = tuple(
-        localizer._auto_pairs(prepared.solve_points, prepared.used_segments, interval_m)
-    )
-    recipe = _AssemblyRecipe(pairs, prepared.solve_points, localizer.dim)
-    with _PAIR_CACHE_LOCK:
-        _pair_cache_misses += 1
-        _PAIR_CACHE[key] = recipe
-        while len(_PAIR_CACHE) > _PAIR_CACHE_MAX:
-            _PAIR_CACHE.popitem(last=False)
+    recipe = _PAIR_CACHE.get(key)
     if metrics_enabled():
-        get_registry().counter("adaptive.pair_cache_total", result="miss").inc()
+        result = "miss" if recipe is None else "hit"
+        get_registry().counter("adaptive.pair_cache_total", result=result).inc()
+    if recipe is None:
+        pairs = localizer._auto_pairs(
+            prepared.solve_points, prepared.used_segments, interval_m
+        )
+        recipe = AssemblyRecipe(pairs, prepared.solve_points, localizer.dim)
+        _PAIR_CACHE.put(key, recipe)
     return recipe
 
 
@@ -287,16 +160,16 @@ def fused_sweep(
     results: List[CellResult | None] = [None] * len(cells)
     scan_key = (_digest(points), _digest(segments) if segments is not None else b"")
 
-    # Stage 1 — one preparation per distinct range window. Every value a
-    # prepared scan holds depends only on (points, profile, mask, config),
-    # so cells sharing a mask share the prepared object bit for bit.
+    # Stage 1 — one geometry step and one phase step per distinct range
+    # window. Every value a prepared scan holds depends only on (points,
+    # profile, mask, config), so cells sharing a mask share the prepared
+    # object bit for bit.
     prepared_rows: Dict[int, PreparedScan | ValueError] = {}
     mask_keys: Dict[int, bytes] = {}
     for row in sorted({cell[2] for cell in cells}):
         try:
-            prepared_rows[row] = localizer._prepare_scan(
-                points, profile, segments, excludes[row], None
-            )
+            template = localizer.scan_template(points, segments, excludes[row])
+            prepared_rows[row] = localizer.complete_scan(template, profile)
             mask_keys[row] = _digest(excludes[row])
         except ValueError as error:
             prepared_rows[row] = error
@@ -309,7 +182,7 @@ def fused_sweep(
             results[index] = prepared
             continue
         try:
-            recipe = _cached_recipe(
+            recipe = cached_assembly_recipe(
                 localizer, prepared, interval_m, scan_key, mask_keys[row]
             )
             system = recipe.assemble(prepared.delta_d)
@@ -318,29 +191,19 @@ def fused_sweep(
             continue
         pending.append((index, prepared, system))
 
-    # Stage 3 — one masked batch solve over the padded assembly tensor
-    # (columns [:dim+1] hold each cell's coefficient matrix, the last
-    # column its rhs), then the shared finalize path per cell.
+    # Stage 3 — one batch solve over every cell's system, then the shared
+    # finalize path per cell.
     if pending:
+        systems = [system for _, _, system in pending]
         if localizer.method == "wls":
-            counts = np.array([system.equation_count for _, _, system in pending])
-            max_rows = int(counts.max())
-            columns = localizer.dim + 1
-            assembly = np.zeros((len(pending), max_rows, columns + 1))
-            valid = np.arange(max_rows)[np.newaxis, :] < counts[:, np.newaxis]
-            for slot, (_, _, system) in enumerate(pending):
-                assembly[slot, : counts[slot], :columns] = system.matrix
-                assembly[slot, : counts[slot], -1] = system.rhs
-            solutions = solve_weighted_least_squares_masked_batch(
-                assembly[:, :, :columns],
-                assembly[:, :, -1],
-                valid,
+            solutions = solve_weighted_least_squares_batch(
+                systems,
                 weight_function=gaussian_residual_weights,
                 max_iterations=localizer.max_iterations,
                 tolerance_m=localizer.tolerance_m,
             )
         else:
-            solutions = [solve_least_squares(system) for _, _, system in pending]
+            solutions = [solve_least_squares(system) for system in systems]
         for (index, prepared, system), solution in zip(pending, solutions):
             try:
                 results[index] = localizer._finalize_solution(

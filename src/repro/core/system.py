@@ -1,64 +1,21 @@
 """Assembly of the linear system ``A [x y (z) d_r]^T = K`` (paper Eq. 12).
 
-Also home of :func:`delta_distances`, the Eq. (6) conversion from an
-unwrapped phase profile to per-read distance differences relative to a
-chosen reference read.
+:func:`build_system` validates one scan's inputs and assembles them
+through :class:`repro.core.radical.AssemblyRecipe`, which also defines
+the :class:`LinearSystem` type re-exported here. Also home of
+:func:`delta_distances`, the Eq. (6) conversion from an unwrapped phase
+profile to per-read distance differences relative to a chosen reference
+read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
-from repro.core.radical import radical_rows
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """An assembled radical-equation system.
-
-    Attributes:
-        matrix: coefficient matrix ``A`` of shape ``(m, dim + 1)``; the
-            last column multiplies the reference distance ``d_r``.
-        rhs: right-hand side ``K`` of shape ``(m,)``.
-        dim: spatial dimensionality, 2 or 3.
-    """
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if self.matrix.ndim != 2 or self.matrix.shape[1] != self.dim + 1:
-            raise ValueError(
-                f"matrix must be (m, {self.dim + 1}), got {self.matrix.shape}"
-            )
-        if self.rhs.shape != (self.matrix.shape[0],):
-            raise ValueError(
-                f"rhs must have shape ({self.matrix.shape[0]},), got {self.rhs.shape}"
-            )
-
-    @property
-    def equation_count(self) -> int:
-        """Number of radical equations (rows)."""
-        return int(self.matrix.shape[0])
-
-    def column_excitation(self) -> np.ndarray:
-        """RMS magnitude per unknown's column — a conditioning diagnostic.
-
-        A near-zero entry means the pairing never displaced along that
-        coordinate, i.e. the lower-dimension issue (Sec. III-C) applies.
-        """
-        return np.sqrt(np.mean(self.matrix**2, axis=0))
-
-    def observable_coordinates(self, threshold: float = 1e-9) -> np.ndarray:
-        """Boolean mask over the ``dim`` coordinates that the system excites."""
-        return self.column_excitation()[: self.dim] > threshold
+from repro.core.radical import AssemblyRecipe, LinearSystem, radical_inputs
 
 
 def delta_distances(
@@ -112,16 +69,7 @@ def build_system(
     Raises:
         ValueError: on inconsistent shapes or an invalid ``dim``.
     """
-    points = np.asarray(positions, dtype=float)
-    if points.ndim != 2 or points.shape[1] not in (2, 3):
-        raise ValueError(f"positions must be (n, 2) or (n, 3), got {points.shape}")
-    if dim is None:
-        dim = points.shape[1]
-    if dim not in (2, 3):
+    if dim is not None and dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    if dim == 2 and points.shape[1] == 3:
-        points = points[:, :2]
-    elif dim == 3 and points.shape[1] == 2:
-        points = np.hstack([points, np.zeros((points.shape[0], 1))])
-    matrix, rhs = radical_rows(points, np.asarray(delta_d, dtype=float), pairs)
-    return LinearSystem(matrix=matrix, rhs=rhs, dim=dim)
+    points, deltas = radical_inputs(positions, delta_d)
+    return AssemblyRecipe(pairs, points, dim or points.shape[1]).assemble(deltas)

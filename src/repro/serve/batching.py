@@ -33,13 +33,13 @@ import numpy as np
 from repro.core.batch_prepare import PreparedMember, prepare_batch
 from repro.core.localizer import LionLocalizer, LocalizationResult, PreparedScan
 from repro.core.lowerdim import RecoveryResult
+from repro.core.radical import AssemblyRecipe, LinearSystem
 from repro.core.solvers import (
     Solution,
     solve_weighted_least_squares_batch,
     solve_weighted_least_squares_fast_batch,
 )
-from repro.core.sweep import _AssemblyRecipe, cached_assembly_recipe
-from repro.core.system import LinearSystem
+from repro.core.sweep import cached_assembly_recipe
 from repro.core.weights import gaussian_residual_weights
 from repro.obs import current_span, tracing_enabled
 from repro.pipeline.config import EstimatorConfig
@@ -77,7 +77,7 @@ def is_batchable(name: str, config: EstimatorConfig) -> bool:
 
 
 def _solve_float32(
-    pending: Sequence[Tuple[int, PreparedScan, _AssemblyRecipe]],
+    pending: Sequence[Tuple[int, PreparedScan, AssemblyRecipe]],
 ) -> Tuple[List[Solution], List[LinearSystem], List[Dict[str, Any]]]:
     """Pad the pending members' float32 systems and run the GEMM kernel.
 
@@ -161,7 +161,7 @@ def _solve_float32(
 
 def _finalize_float32_batch(
     localizer: LionLocalizer,
-    pending: Sequence[Tuple[int, PreparedScan, _AssemblyRecipe]],
+    pending: Sequence[Tuple[int, PreparedScan, AssemblyRecipe]],
     solutions: Sequence[Solution],
     systems: Sequence[LinearSystem],
 ) -> List[LocalizationResult]:
@@ -290,7 +290,7 @@ def execute_batch(
     members: List[PreparedMember] = prepare_batch(
         localizer, requests, dtype=np.float32 if use_float32 else np.float64
     )
-    pending: List[Tuple[int, PreparedScan, _AssemblyRecipe]] = []
+    pending: List[Tuple[int, PreparedScan, AssemblyRecipe]] = []
     for index, member in enumerate(members):
         if member.error is not None:
             results[index] = member.error

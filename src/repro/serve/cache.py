@@ -12,17 +12,16 @@ identity, and any change to the scan bytes or the config misses.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Dict, Tuple
+from typing import Tuple
 
+from repro.lru import BoundedLRU
 from repro.pipeline.contract import EstimationReport
 
 #: ``(estimator name, config hash, request fingerprint)``.
 CacheKey = Tuple[str, str, str]
 
 
-class ResultCache:
+class ResultCache(BoundedLRU[CacheKey, EstimationReport]):
     """Bounded LRU mapping of request fingerprints to finished reports.
 
     ``max_entries <= 0`` disables caching entirely (every ``get`` misses,
@@ -31,48 +30,4 @@ class ResultCache:
     """
 
     def __init__(self, max_entries: int = 128) -> None:
-        self.max_entries = int(max_entries)
-        self._entries: "OrderedDict[CacheKey, EstimationReport]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-
-    def get(self, key: CacheKey) -> EstimationReport | None:
-        """Look up ``key``, refreshing its recency on a hit."""
-        if self.max_entries <= 0:
-            return None
-        with self._lock:
-            report = self._entries.get(key)
-            if report is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return report
-
-    def put(self, key: CacheKey, report: EstimationReport) -> None:
-        """Insert ``key``, evicting the least-recently-used overflow."""
-        if self.max_entries <= 0:
-            return
-        with self._lock:
-            self._entries[key] = report
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-
-    def info(self) -> Dict[str, int]:
-        """Hit/miss/size counters (tests, ``ServeEngine.stats``)."""
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "size": len(self._entries),
-                "max_entries": self.max_entries,
-            }
+        super().__init__(max_entries)

@@ -1,4 +1,4 @@
-"""Fused adaptive sweep: bitwise equivalence, pairing cache, masked kernel.
+"""Fused adaptive sweep: bitwise equivalence, pairing cache, shared arrays.
 
 The fused engine (:mod:`repro.core.sweep`) must be indistinguishable from
 the legacy per-cell dispatch down to the last bit — same positions, same
@@ -24,12 +24,7 @@ from repro.core.localizer import (
     PreprocessConfig,
     TooFewReadsError,
 )
-from repro.core.solvers import (
-    solve_weighted_least_squares,
-    solve_weighted_least_squares_masked_batch,
-)
 from repro.core.sweep import clear_pair_cache, pair_cache_info
-from repro.core.system import LinearSystem
 from repro.parallel import SharedArrayBundle, attach_shared_arrays
 from repro.trajectory.raster import RasterScan
 
@@ -160,77 +155,6 @@ class TestPairCache:
         clear_pair_cache()
         info = pair_cache_info()
         assert info == {"hits": 0, "misses": 0, "size": 0, "max_size": info["max_size"]}
-
-
-def _masked_stack(shapes, dim=2, seed=0, noise=0.02):
-    rng = np.random.default_rng(seed)
-    systems = []
-    for rows in shapes:
-        matrix = rng.normal(size=(rows, dim + 1))
-        truth = rng.normal(size=dim + 1)
-        rhs = matrix @ truth + rng.normal(0.0, noise, size=rows)
-        systems.append(LinearSystem(matrix=matrix, rhs=rhs, dim=dim))
-    max_rows = max(shapes)
-    matrices = np.zeros((len(shapes), max_rows, dim + 1))
-    stacked_rhs = np.zeros((len(shapes), max_rows))
-    mask = np.zeros((len(shapes), max_rows), dtype=bool)
-    for index, system in enumerate(systems):
-        rows = system.equation_count
-        matrices[index, :rows] = system.matrix
-        stacked_rhs[index, :rows] = system.rhs
-        mask[index, :rows] = True
-    return systems, matrices, stacked_rhs, mask
-
-
-class TestMaskedBatchKernel:
-    def test_ragged_members_match_scalar_bitwise(self):
-        systems, matrices, rhs, mask = _masked_stack((40, 17, 33, 5, 40), seed=4)
-        solutions = solve_weighted_least_squares_masked_batch(matrices, rhs, mask)
-        for system, solution in zip(systems, solutions):
-            reference = solve_weighted_least_squares(system)
-            assert np.array_equal(solution.estimate, reference.estimate)
-            assert np.array_equal(solution.residuals, reference.residuals)
-            assert np.array_equal(solution.weights, reference.weights)
-            assert solution.iterations == reference.iterations
-            assert solution.converged == reference.converged
-
-    def test_non_prefix_mask_compacted(self):
-        systems, matrices, rhs, mask = _masked_stack((30, 30), seed=5)
-        # Scatter member 0's rows: drop rows 3 and 17 from the middle.
-        scattered = mask.copy()
-        scattered[0, [3, 17]] = False
-        solutions = solve_weighted_least_squares_masked_batch(matrices, rhs, scattered)
-        keep = np.flatnonzero(scattered[0])
-        compact = LinearSystem(
-            matrix=systems[0].matrix[keep], rhs=systems[0].rhs[keep], dim=2
-        )
-        reference = solve_weighted_least_squares(compact)
-        assert np.array_equal(solutions[0].estimate, reference.estimate)
-
-    def test_rank_deficient_member_ejected_to_scalar(self):
-        systems, matrices, rhs, mask = _masked_stack((25, 25, 25), seed=6)
-        # Make member 1 rank deficient: second column copies the first.
-        matrices[1, :, 1] = matrices[1, :, 0]
-        solutions = solve_weighted_least_squares_masked_batch(matrices, rhs, mask)
-        degenerate = LinearSystem(matrix=matrices[1, :25], rhs=rhs[1, :25], dim=2)
-        reference = solve_weighted_least_squares(degenerate)
-        assert np.array_equal(solutions[1].estimate, reference.estimate)
-        for index in (0, 2):
-            healthy = solve_weighted_least_squares(systems[index])
-            assert np.array_equal(solutions[index].estimate, healthy.estimate)
-
-    def test_empty_member_rejected(self):
-        _, matrices, rhs, mask = _masked_stack((10, 10), seed=7)
-        mask[1, :] = False
-        with pytest.raises(ValueError, match="empty"):
-            solve_weighted_least_squares_masked_batch(matrices, rhs, mask)
-
-    def test_shape_validation(self):
-        _, matrices, rhs, mask = _masked_stack((10,), seed=8)
-        with pytest.raises(ValueError):
-            solve_weighted_least_squares_masked_batch(matrices, rhs, mask[:, :-1])
-        with pytest.raises(ValueError):
-            solve_weighted_least_squares_masked_batch(matrices, rhs[:, :-1], mask)
 
 
 class TestSharedArrays:

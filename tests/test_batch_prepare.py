@@ -210,6 +210,20 @@ class TestTemplateCache:
         assert info == {"hits": 0, "misses": 0, "size": 0, "max_size": info["max_size"]}
 
 
+def _assert_ejected_like_scalar(localizer, ejected, request):
+    """The batch slot holds exactly the error scalar ``prepare()`` raises."""
+    with pytest.raises(ValueError) as scalar:
+        localizer.prepare(
+            request.positions,
+            request.phases_rad,
+            segment_ids=request.segment_ids,
+            exclude_mask=request.exclude_mask,
+            reference_index=request.reference_index,
+        )
+    assert type(ejected) is type(scalar.value)
+    assert str(ejected) == str(scalar.value)
+
+
 class TestRaggedBatches:
     def test_too_few_reads_member_ejects_alone(self):
         localizer = LionLocalizer(dim=2, interval_m=0.25)
@@ -220,6 +234,7 @@ class TestRaggedBatches:
         good = [_line_request(seed=s) for s in range(3)]
         results = batch_prepare(localizer, [good[0], bad, good[1], good[2]])
         assert isinstance(results[1], TooFewReadsError)
+        _assert_ejected_like_scalar(localizer, results[1], bad)
         for slot, request in ((0, good[0]), (2, good[1]), (3, good[2])):
             _assert_scan_equal(results[slot], localizer.prepare(request.positions, request.phases_rad))
 
@@ -235,6 +250,7 @@ class TestRaggedBatches:
         )
         results = batch_prepare(localizer, [flat, spatial])
         assert isinstance(results[0], DegenerateGeometryError)
+        _assert_ejected_like_scalar(localizer, results[0], flat)
         _assert_scan_equal(
             results[1], localizer.prepare(spatial.positions, spatial.phases_rad)
         )
@@ -246,8 +262,8 @@ class TestRaggedBatches:
         )
         good = _line_request(seed=4)
         results = batch_prepare(localizer, [bad, good])
-        assert isinstance(results[0], ValueError)
         assert "positions must be" in str(results[0])
+        _assert_ejected_like_scalar(localizer, results[0], bad)
         _assert_scan_equal(results[1], localizer.prepare(good.positions, good.phases_rad))
 
     def test_empty_after_mask_member(self):
@@ -258,6 +274,8 @@ class TestRaggedBatches:
         results = batch_prepare(localizer, [smothered, thin, good])
         assert isinstance(results[0], TooFewReadsError)
         assert isinstance(results[1], TooFewReadsError)
+        _assert_ejected_like_scalar(localizer, results[0], smothered)
+        _assert_ejected_like_scalar(localizer, results[1], thin)
         _assert_scan_equal(results[2], localizer.prepare(good.positions, good.phases_rad))
 
     def test_non_finite_phases_member_ejects_alone(self):
@@ -268,9 +286,46 @@ class TestRaggedBatches:
         poisoned = EstimationRequest(positions=poisoned.positions, phases_rad=phases)
         good = _line_request(seed=9)
         results = batch_prepare(localizer, [poisoned, good])
-        assert isinstance(results[0], ValueError)
         assert "non-finite" in str(results[0])
+        _assert_ejected_like_scalar(localizer, results[0], poisoned)
         _assert_scan_equal(results[1], localizer.prepare(good.positions, good.phases_rad))
+
+    def test_non_finite_position_member_ejects_alone(self):
+        localizer = LionLocalizer(dim=2, interval_m=0.25)
+        poisoned = _line_request(seed=10)
+        positions = poisoned.positions.copy()
+        positions[5, 0] = np.inf
+        poisoned = EstimationRequest(positions=positions, phases_rad=poisoned.phases_rad)
+        good = _line_request(seed=10)
+        results = batch_prepare(localizer, [poisoned, good, poisoned])
+        assert "non-finite" in str(results[0])
+        _assert_ejected_like_scalar(localizer, results[0], poisoned)
+        _assert_ejected_like_scalar(localizer, results[2], poisoned)
+        _assert_scan_equal(results[1], localizer.prepare(good.positions, good.phases_rad))
+
+    def test_wrong_length_mask_member_ejects_alone(self):
+        localizer = LionLocalizer(dim=2, interval_m=0.25)
+        bad = _line_request(seed=11, exclude_mask=np.zeros(39, bool))
+        good = _line_request(seed=11, exclude_mask=np.zeros(40, bool))
+        results = batch_prepare(localizer, [bad, good])
+        assert "exclude_mask" in str(results[0])
+        _assert_ejected_like_scalar(localizer, results[0], bad)
+        _assert_scan_equal(
+            results[1],
+            localizer.prepare(good.positions, good.phases_rad, exclude_mask=good.exclude_mask),
+        )
+
+    def test_wrong_length_segments_member_ejects_alone(self):
+        localizer = LionLocalizer(dim=2, interval_m=0.25)
+        bad = _line_request(seed=12, segment_ids=np.zeros(39, int))
+        good = _line_request(seed=12, segment_ids=np.zeros(40, int))
+        results = batch_prepare(localizer, [bad, good])
+        assert "segment_ids" in str(results[0])
+        _assert_ejected_like_scalar(localizer, results[0], bad)
+        _assert_scan_equal(
+            results[1],
+            localizer.prepare(good.positions, good.phases_rad, segment_ids=good.segment_ids),
+        )
 
     def test_missing_fields_member(self):
         localizer = LionLocalizer(dim=2, interval_m=0.25)

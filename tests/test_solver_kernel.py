@@ -22,7 +22,6 @@ from repro.core.solvers import (
     solve_least_squares,
     solve_weighted_least_squares,
     solve_weighted_least_squares_batch,
-    solve_weighted_least_squares_masked_batch,
 )
 from repro.core.system import LinearSystem, build_system
 from repro.core.uncertainty import estimate_uncertainty
@@ -129,23 +128,6 @@ class TestBatchInvariance:
             for index, solution in zip(picks, batch):
                 _assert_identical(solution, alone[index])
 
-    def test_padding_and_row_order_of_mask_do_not_matter(self):
-        rng = np.random.default_rng(22)
-        systems = [_system(rng, rows) for rows in (17, 30, 9)]
-        width = 40
-        matrices = np.zeros((3, width, 3))
-        rhs = np.zeros((3, width))
-        mask = np.zeros((3, width), dtype=bool)
-        for slot, system in enumerate(systems):
-            rows = np.sort(rng.choice(width, size=system.equation_count, replace=False))
-            matrices[slot, rows] = system.matrix
-            rhs[slot, rows] = system.rhs
-            matrices[slot, ~np.isin(np.arange(width), rows)] = 7.0  # ignored padding
-            mask[slot, rows] = True
-        batch = solve_weighted_least_squares_masked_batch(matrices, rhs, mask)
-        for system, solution in zip(systems, batch):
-            _assert_identical(solution, solve_weighted_least_squares(system))
-
 
 class TestEjection:
     def test_near_collinear_member_goes_to_factored_solve(self, monkeypatch):
@@ -166,6 +148,24 @@ class TestEjection:
         np.testing.assert_allclose(batch[1].estimate, expected, rtol=1e-7, atol=1e-9)
         for system, solution in zip(healthy, (batch[0], batch[2])):
             _assert_identical(solution, solve_weighted_least_squares(system))
+
+    def test_rank_deficient_member_ejected_alone(self):
+        rng = np.random.default_rng(26)
+        healthy = [_system(rng, 25), _system(rng, 25)]
+        system = _system(rng, 25)
+        matrix = system.matrix.copy()
+        matrix[:, 1] = matrix[:, 0]  # exactly singular Gram
+        degenerate = LinearSystem(matrix=matrix, rhs=system.rhs, dim=2)
+        batch = solve_weighted_least_squares_batch([healthy[0], degenerate, healthy[1]])
+        _assert_identical(batch[1], solve_weighted_least_squares(degenerate))
+        for member, solution in zip(healthy, (batch[0], batch[2])):
+            _assert_identical(solution, solve_weighted_least_squares(member))
+
+    def test_empty_member_rejected(self):
+        rng = np.random.default_rng(27)
+        empty = LinearSystem(matrix=np.zeros((0, 3)), rhs=np.zeros(0), dim=2)
+        with pytest.raises(ValueError, match="empty"):
+            solve_weighted_least_squares_batch([_system(rng, 10), empty])
 
     def test_underdetermined_member_gets_minimum_norm(self):
         rng = np.random.default_rng(24)

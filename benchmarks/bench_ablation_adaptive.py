@@ -9,10 +9,10 @@ sweep channel.
 
 import numpy as np
 
-from repro.core.adaptive import ParameterGrid, adaptive_localize
 from repro.core.localizer import LionLocalizer
 from repro.datasets.synthetic import simulate_scan
 from repro.experiments.scenarios import make_room_reflectors
+from repro.pipeline import EstimationRequest, estimate
 from repro.rf.antenna import Antenna
 from repro.rf.noise import BurstyPhaseNoise, SnrScaledPhaseNoise
 from repro.trajectory.linear import LinearTrajectory
@@ -20,7 +20,7 @@ from repro.trajectory.linear import LinearTrajectory
 
 def test_bench_adaptive_vs_fixed(benchmark):
     rng = np.random.default_rng(17)
-    grid = ParameterGrid(ranges_m=(0.6, 0.8, 1.0), intervals_m=(0.15, 0.25, 0.35))
+    config = {"dim": 2, "ranges_m": (0.6, 0.8, 1.0), "intervals_m": (0.15, 0.25, 0.35)}
 
     def run():
         adaptive_errors, fixed_good, fixed_bad = [], [], []
@@ -42,7 +42,11 @@ def test_bench_adaptive_vs_fixed(benchmark):
             truth = antenna.phase_center[:2]
             localizer = LionLocalizer(dim=2)
 
-            adaptive = adaptive_localize(localizer, scan.positions, scan.phases, grid=grid)
+            adaptive = estimate(
+                "lion-adaptive",
+                EstimationRequest(positions=scan.positions, phases_rad=scan.phases),
+                config,
+            )
             adaptive_errors.append(np.linalg.norm(adaptive.position - truth))
 
             good = localizer.locate(

@@ -10,8 +10,8 @@ import numpy as np
 
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
 from repro.core.localizer import LionLocalizer
-from repro.core.multiref import locate_multireference
 from repro.datasets.synthetic import simulate_scan
+from repro.pipeline import EstimationRequest, estimate
 from repro.rf.antenna import Antenna
 from repro.rf.noise import GaussianPhaseNoise
 from repro.trajectory.multiline import ThreeLineScan
@@ -54,8 +54,10 @@ def test_bench_stitched_vs_multireference(benchmark):
                     + rng.normal(0, 0.05, members.size),
                     TWO_PI,
                 )
-            solution = locate_multireference(
-                positions, phases, runs, dim=3, interval_m=0.25
+            solution = estimate(
+                "lion-multiref",
+                EstimationRequest(positions=positions, phases_rad=phases, run_ids=runs),
+                {"dim": 3, "interval_m": 0.25},
             )
             separate_errors.append(np.linalg.norm(solution.position - truth))
         return {

@@ -1,10 +1,11 @@
 """Fused vs per-cell throughput of the adaptive (range, interval) sweep.
 
 Runs the paper's default 6x6 sweep grid over a Monte-Carlo-style sequence
-of re-noised scans, once through the legacy per-cell dispatch and once
-through the fused engine (shared preparation, cached pairing, masked
-batch IRLS), asserts the two are bit-identical per repeat, and records
-cells/second, the fused speedup, and the pairing-cache hit rate as JSON
+of re-noised scans, once as the per-cell reference (a plain loop of
+``LionLocalizer.locate`` over the grid cells) and once through the fused
+engine (shared preparation, cached pairing, batch IRLS), asserts every
+cell's answer is bit-identical per repeat, and records cells/second, the
+fused speedup, and the pairing-cache hit rate as JSON
 (``BENCH_adaptive_sweep.json``). CI runs the quick sizing on every PR,
 uploads the JSON, and fails if fused cells/second regresses more than
 20% against ``benchmarks/baselines/BENCH_adaptive_sweep.json``.
@@ -55,10 +56,34 @@ def _phases(seed: int) -> np.ndarray:
     )
 
 
-def _sweep_once(localizer, phases, grid, fused):
-    return _adaptive_localize_impl(
-        localizer, _POSITIONS, phases, grid=grid, fused=fused
-    )
+def _per_cell_sweep(localizer, phases, grid):
+    """The reference: one ``locate()`` per grid cell; each solved cell's position."""
+    profile = localizer.preprocess_phase(phases)
+    offsets = np.abs(_POSITIONS[:, grid.axis] - grid.center)
+    positions = []
+    for range_m in grid.ranges_m:
+        exclude = offsets > range_m / 2.0
+        for interval_m in grid.intervals_m:
+            if interval_m >= range_m:
+                continue
+            try:
+                result = localizer.locate(
+                    _POSITIONS,
+                    profile,
+                    exclude_mask=exclude,
+                    interval_m=interval_m,
+                    assume_preprocessed=True,
+                )
+            except ValueError:
+                continue
+            positions.append(result.position)
+    return positions
+
+
+def _fused_sweep(localizer, phases, grid):
+    """The adaptive sweep; each solved cell's position."""
+    result = _adaptive_localize_impl(localizer, _POSITIONS, phases, grid=grid)
+    return [outcome.result.position for outcome in result.outcomes]
 
 
 def run_study(repeats: int) -> Dict[str, object]:
@@ -74,18 +99,19 @@ def run_study(repeats: int) -> Dict[str, object]:
     profiles = [_phases(seed) for seed in range(repeats)]
 
     timings: Dict[str, float] = {}
-    positions: Dict[str, List[np.ndarray]] = {}
+    positions: Dict[str, List[List[np.ndarray]]] = {}
     clear_pair_cache()
-    for mode, fused in (("per_cell", False), ("fused", True)):
+    for mode, sweep in (("per_cell", _per_cell_sweep), ("fused", _fused_sweep)):
         start = time.perf_counter()
-        results = [_sweep_once(localizer, phases, grid, fused) for phases in profiles]
+        positions[mode] = [sweep(localizer, phases, grid) for phases in profiles]
         timings[mode] = time.perf_counter() - start
-        positions[mode] = [result.position for result in results]
     cache = pair_cache_info()
 
     # The fused engine must not change the answer, only the wall clock.
     for ours, theirs in zip(positions["fused"], positions["per_cell"]):
-        assert np.array_equal(ours, theirs), "fused sweep changed the result"
+        assert len(ours) == len(theirs), "fused sweep changed the result"
+        for mine, ref in zip(ours, theirs):
+            assert np.array_equal(mine, ref), "fused sweep changed the result"
 
     cells_per_sec = {
         mode: cells * repeats / seconds for mode, seconds in timings.items()

@@ -22,10 +22,11 @@ from repro import (
     Antenna,
     BurstyPhaseNoise,
     DifferentialHologram,
+    EstimationRequest,
     LinearTrajectory,
     LionLocalizer,
     SnrScaledPhaseNoise,
-    locate_parabola_2d,
+    estimate,
     simulate_scan,
 )
 
@@ -79,7 +80,9 @@ def main() -> None:
 
         # Parabola fit on the belt coordinate.
         start = time.perf_counter()
-        parabola = locate_parabola_2d(scan.positions[:, 0], scan.phases)
+        parabola = estimate(
+            "parabola", EstimationRequest(positions=scan.positions, phases_rad=scan.phases)
+        )
         timings["Parabola"] += time.perf_counter() - start
         stats["Parabola"].append(np.linalg.norm(parabola.position - truth))
 

@@ -19,9 +19,10 @@ import numpy as np
 
 from repro import (
     Antenna,
+    EstimationRequest,
     GaussianPhaseNoise,
     LinearTrajectory,
-    locate_multireference,
+    estimate,
     simulate_scan,
     wavelength_for_frequency,
 )
@@ -58,9 +59,11 @@ def main() -> None:
     phases = np.concatenate(phases)
     runs = np.concatenate(runs)
 
-    solution = locate_multireference(
-        positions, phases, runs, dim=3, interval_m=0.25
-    )
+    solution = estimate(
+        "lion-multiref",
+        EstimationRequest(positions=positions, phases_rad=phases, run_ids=runs),
+        {"dim": 3, "interval_m": 0.25},
+    ).raw
     error = np.linalg.norm(solution.position - truth)
     print("--- separate sweeps (independent phase datums) ---")
     print(f"estimated center: {solution.position.round(4)}")
@@ -88,9 +91,12 @@ def main() -> None:
             + rng.normal(0.0, 0.05, int(members.sum())),
             TWO_PI,
         )
-    hop_solution = locate_multireference(
-        hop_positions[:, :2], hop_phases, hop_runs, dim=2,
-        interval_m=0.2, wavelengths_m=wavelengths,
+    hop_solution = estimate(
+        "lion-multiref",
+        EstimationRequest(
+            positions=hop_positions[:, :2], phases_rad=hop_phases, run_ids=hop_runs
+        ),
+        {"dim": 2, "interval_m": 0.2, "wavelengths_by_run": wavelengths},
     )
     hop_error = np.linalg.norm(hop_solution.position - truth[:2])
     print(f"estimated (2D)  : {hop_solution.position.round(4)}")

@@ -14,9 +14,10 @@ import numpy as np
 from repro import (
     Antenna,
     CircularTrajectory,
+    EstimationRequest,
     GaussianPhaseNoise,
     LionLocalizer,
-    locate_rotating_tag,
+    estimate,
     simulate_scan,
 )
 
@@ -50,7 +51,10 @@ def main() -> None:
             # Tagspin-style baseline needs the turntable angle per read.
             angles = np.arctan2(scan.positions[:, 1], scan.positions[:, 0])
             angles = np.unwrap(angles)
-            spin = locate_rotating_tag(angles, scan.phases, radius_m=radius)
+            spin = estimate(
+                "angle",
+                EstimationRequest(angles_rad=angles, phases_rad=scan.phases, radius_m=radius),
+            )
             spin_total.append(np.linalg.norm(spin.position - truth))
 
         axis = np.mean(np.vstack(lion_axis), axis=0) * 100

@@ -51,11 +51,8 @@ from repro.core import (
     OnlineLionLocalizer,
     PairingDiagnostics,
     SolutionUncertainty,
-    adaptive_localize,
     analyze_pairing,
     calibrate_antenna,
-    differential_hologram,
-    locate_multireference,
     estimate_phase_offset,
     locate_tag_differential,
     locate_tag_with_array,
@@ -63,12 +60,7 @@ from repro.core import (
     track_tag_start,
     uncertainty_of,
 )
-from repro.baselines import (
-    DifferentialHologram,
-    locate_hyperbola,
-    locate_parabola_2d,
-    locate_rotating_tag,
-)
+from repro.baselines import DifferentialHologram
 from repro.datasets import (
     ScanData,
     default_antenna,
@@ -159,20 +151,17 @@ __all__ = [
     "solve_weighted_least_squares_batch",
     "AdaptiveResult",
     "ParameterGrid",
-    "adaptive_localize",
     "AntennaCalibration",
     "calibrate_antenna",
     "estimate_phase_offset",
     "relative_phase_offsets",
     "CalibratedArray",
     "DifferentialResult",
-    "differential_hologram",
     "locate_tag_differential",
     "locate_tag_with_array",
     "TrackingResult",
     "track_tag_start",
     "MultiReferenceSolution",
-    "locate_multireference",
     "OnlineLionLocalizer",
     "PairingDiagnostics",
     "analyze_pairing",
@@ -216,9 +205,6 @@ __all__ = [
     "configure_logging",
     # baselines
     "DifferentialHologram",
-    "locate_hyperbola",
-    "locate_parabola_2d",
-    "locate_rotating_tag",
     # datasets
     "ScanData",
     "default_antenna",

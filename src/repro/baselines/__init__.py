@@ -11,9 +11,10 @@
 * :mod:`repro.baselines.angle` — a Tagspin-style [7] rotating-tag AoA
   method: circular scanning only.
 
-Each baseline exposes a ``locate*`` function taking the same
-``(positions, wrapped phases)`` data LION consumes, so experiment runners
-can swap methods freely.
+Each baseline is served by name through the :mod:`repro.pipeline`
+registry (``hologram``, ``hyperbola``, ``parabola``, ``angle``) on the
+same :class:`~repro.pipeline.EstimationRequest` LION consumes, so
+experiment runners can swap methods freely.
 """
 
 from repro.baselines.hologram import (
@@ -21,18 +22,15 @@ from repro.baselines.hologram import (
     HologramResult,
     hologram_likelihood,
 )
-from repro.baselines.hyperbola import HyperbolaResult, locate_hyperbola
-from repro.baselines.parabola import ParabolaResult, locate_parabola_2d
-from repro.baselines.angle import RotatingTagResult, locate_rotating_tag
+from repro.baselines.hyperbola import HyperbolaResult
+from repro.baselines.parabola import ParabolaResult
+from repro.baselines.angle import RotatingTagResult
 
 __all__ = [
     "DifferentialHologram",
     "HologramResult",
     "hologram_likelihood",
     "HyperbolaResult",
-    "locate_hyperbola",
     "ParabolaResult",
-    "locate_parabola_2d",
     "RotatingTagResult",
-    "locate_rotating_tag",
 ]

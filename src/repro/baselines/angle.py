@@ -17,7 +17,6 @@ Limitation (the paper's point): the trajectory *must* be circular.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,35 +104,3 @@ def _locate_rotating_tag_impl(
         position=position,
         converged=bool(fit.success),
     )
-
-
-def locate_rotating_tag(
-    angles_rad: np.ndarray,
-    wrapped_phase_rad: np.ndarray,
-    radius_m: float,
-    wavelength_m: float = DEFAULT_WAVELENGTH_M,
-    initial_distance_m: float = 1.0,
-) -> RotatingTagResult:
-    """Deprecated entry point for the rotating-tag baseline.
-
-    Use the ``"angle"`` estimator from :mod:`repro.pipeline` instead;
-    this shim forwards through the registry (identical results) and will
-    be removed once downstream callers have migrated. See
-    :func:`_locate_rotating_tag_impl` for the algorithm and argument
-    documentation.
-    """
-    warnings.warn(
-        "locate_rotating_tag() is deprecated; use "
-        "repro.pipeline.estimate('angle', request, config) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import pipeline
-
-    config = pipeline.AngleConfig(
-        wavelength_m=wavelength_m, initial_distance_m=initial_distance_m
-    )
-    request = pipeline.EstimationRequest(
-        angles_rad=angles_rad, phases_rad=wrapped_phase_rad, radius_m=radius_m
-    )
-    return pipeline.estimate("angle", request, config).raw

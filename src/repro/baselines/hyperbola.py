@@ -14,9 +14,7 @@ solve, which is exactly its role in the comparison.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -48,18 +46,18 @@ def _locate_hyperbola_impl(
     positions: np.ndarray,
     wrapped_phase_rad: np.ndarray,
     initial_guess: np.ndarray | None = None,
-    pairs: Sequence[Tuple[int, int]] | None = None,
     wavelength_m: float = DEFAULT_WAVELENGTH_M,
     dim: int | None = None,
 ) -> HyperbolaResult:
     """Locate the target by fitting distance-difference hyperbolas.
+
+    The measurement pairs are quarter-scan lag pairs.
 
     Args:
         positions: scan positions, shape ``(n, 2)`` or ``(n, 3)``.
         wrapped_phase_rad: reported wrapped phases (continuous scan).
         initial_guess: optimizer start; defaults to one meter boresight of
             the scan centroid (a deliberately generic prior).
-        pairs: measurement pairs; defaults to quarter-scan lag pairs.
         wavelength_m: carrier wavelength.
         dim: answer dimension; inferred from positions when omitted.
 
@@ -81,10 +79,8 @@ def _locate_hyperbola_impl(
 
     profile = unwrap_phase(phases)
     deltas = delta_distances(profile, 0, wavelength_m)
-    if pairs is None:
-        lag = max(points.shape[0] // 4, 1)
-        pairs = lag_pairs(points.shape[0], lag)
-    index = np.asarray(pairs, dtype=int)
+    lag = max(points.shape[0] // 4, 1)
+    index = np.asarray(lag_pairs(points.shape[0], lag), dtype=int)
     pi = points[index[:, 0]]
     pj = points[index[:, 1]]
     difference = deltas[index[:, 0]] - deltas[index[:, 1]]
@@ -109,45 +105,3 @@ def _locate_hyperbola_impl(
         iterations=int(fit.nfev),
         converged=bool(fit.success),
     )
-
-
-def locate_hyperbola(
-    positions: np.ndarray,
-    wrapped_phase_rad: np.ndarray,
-    initial_guess: np.ndarray | None = None,
-    pairs: Sequence[Tuple[int, int]] | None = None,
-    wavelength_m: float = DEFAULT_WAVELENGTH_M,
-    dim: int | None = None,
-) -> HyperbolaResult:
-    """Deprecated entry point for the hyperbola baseline.
-
-    Use the ``"hyperbola"`` estimator from :mod:`repro.pipeline` instead;
-    this shim forwards through the registry (identical results) and will
-    be removed once downstream callers have migrated. Calls with an
-    explicit ``pairs`` override — a knob the registry config does not
-    carry — go straight to the implementation. See
-    :func:`_locate_hyperbola_impl` for the algorithm and argument
-    documentation.
-    """
-    warnings.warn(
-        "locate_hyperbola() is deprecated; use "
-        "repro.pipeline.estimate('hyperbola', request, config) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if pairs is not None:
-        return _locate_hyperbola_impl(
-            positions,
-            wrapped_phase_rad,
-            initial_guess=initial_guess,
-            pairs=pairs,
-            wavelength_m=wavelength_m,
-            dim=dim,
-        )
-    from repro import pipeline
-
-    config = pipeline.HyperbolaConfig(wavelength_m=wavelength_m, dim=dim)
-    request = pipeline.EstimationRequest(
-        positions=positions, phases_rad=wrapped_phase_rad, initial_guess=initial_guess
-    )
-    return pipeline.estimate("hyperbola", request, config).raw

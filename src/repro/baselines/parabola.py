@@ -15,7 +15,6 @@ but is extremely cheap and a useful sanity baseline.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,36 +82,3 @@ def _locate_parabola_2d_impl(
         curvature=a,
         rms_residual_rad=rms,
     )
-
-
-def locate_parabola_2d(
-    scan_coordinate_m: np.ndarray,
-    wrapped_phase_rad: np.ndarray,
-    wavelength_m: float = DEFAULT_WAVELENGTH_M,
-    positive_side: bool = True,
-) -> ParabolaResult:
-    """Deprecated entry point for the parabola baseline.
-
-    Use the ``"parabola"`` estimator from :mod:`repro.pipeline` instead;
-    this shim forwards through the registry (identical results) and will
-    be removed once downstream callers have migrated. See
-    :func:`_locate_parabola_2d_impl` for the algorithm and argument
-    documentation.
-    """
-    warnings.warn(
-        "locate_parabola_2d() is deprecated; use "
-        "repro.pipeline.estimate('parabola', request, config) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import pipeline
-
-    x = np.asarray(scan_coordinate_m, dtype=float)
-    config = pipeline.ParabolaConfig(
-        wavelength_m=wavelength_m, positive_side=positive_side
-    )
-    request = pipeline.EstimationRequest(
-        positions=np.column_stack([x, np.zeros_like(x)]),
-        phases_rad=wrapped_phase_rad,
-    )
-    return pipeline.estimate("parabola", request, config).raw

@@ -48,7 +48,6 @@ from repro.core.adaptive import (
     AdaptiveResult,
     CellRejection,
     ParameterGrid,
-    adaptive_localize,
 )
 from repro.core.localizer import (
     DegenerateGeometryError,
@@ -61,7 +60,6 @@ from repro.core.localizer import (
 from repro.core.sweep import clear_pair_cache, fused_sweep, pair_cache_info
 from repro.core.batch_prepare import (
     PreparedMember,
-    batch_prepare,
     clear_template_cache,
     prepare_batch,
     template_cache_info,
@@ -69,7 +67,6 @@ from repro.core.batch_prepare import (
 from repro.core.multiantenna import (
     CalibratedArray,
     DifferentialResult,
-    differential_hologram,
     locate_tag_differential,
     locate_tag_with_array,
 )
@@ -78,7 +75,6 @@ from repro.core.multiref import (
     MultiReferenceSolution,
     MultiReferenceSystem,
     build_multireference_system,
-    locate_multireference,
     solve_multireference,
 )
 from repro.core.incremental import IncrementalScanAssembler, unwrap_correction
@@ -119,7 +115,6 @@ __all__ = [
     "AdaptiveResult",
     "CellRejection",
     "ParameterGrid",
-    "adaptive_localize",
     "DegenerateGeometryError",
     "LionLocalizer",
     "LocalizationResult",
@@ -130,13 +125,11 @@ __all__ = [
     "fused_sweep",
     "pair_cache_info",
     "PreparedMember",
-    "batch_prepare",
     "clear_template_cache",
     "prepare_batch",
     "template_cache_info",
     "CalibratedArray",
     "DifferentialResult",
-    "differential_hologram",
     "locate_tag_differential",
     "locate_tag_with_array",
     "TrackingResult",
@@ -145,7 +138,6 @@ __all__ = [
     "MultiReferenceSolution",
     "build_multireference_system",
     "solve_multireference",
-    "locate_multireference",
     "OnlineLionLocalizer",
     "IncrementalScanAssembler",
     "unwrap_correction",

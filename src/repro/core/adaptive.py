@@ -12,8 +12,6 @@ the estimates whose |mean residual| is smallest and averages them.
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -31,13 +29,6 @@ from repro.obs import (
     get_registry,
     metrics_enabled,
     span,
-)
-from repro.parallel import (
-    Executor,
-    SharedArrayBundle,
-    SharedArraySpec,
-    attach_shared_arrays,
-    get_executor,
 )
 
 
@@ -138,59 +129,6 @@ class AdaptiveResult:
         return min(self.outcomes, key=lambda o: o.abs_mean_residual)
 
 
-def _solve_cell(
-    localizer: LionLocalizer,
-    points: np.ndarray,
-    profile: np.ndarray,
-    segment_ids: np.ndarray | None,
-    excludes: np.ndarray,
-    cell: Tuple[float, float, int],
-) -> ConfigOutcome | CellRejection:
-    """Solve one (range, interval) grid cell from the shared preprocessed profile.
-
-    Module-level (dispatched via :func:`functools.partial`) so the process
-    backend can pickle it. A cell whose configuration cannot produce a
-    solve maps to a :class:`CellRejection` carrying the reason rather than
-    raising, keeping the sweep's skip-and-continue semantics on every
-    backend while making rejections observable.
-    """
-    range_m, interval_m, row = cell
-    try:
-        result = localizer.locate(
-            points,
-            profile,
-            segment_ids=segment_ids,
-            exclude_mask=excludes[row],
-            interval_m=interval_m,
-            assume_preprocessed=True,
-        )
-    except ValueError as error:
-        return CellRejection(range_m, interval_m, _classify_rejection(error))
-    return ConfigOutcome(range_m, interval_m, result)
-
-
-def _solve_cell_shared(
-    localizer: LionLocalizer,
-    specs: dict[str, SharedArraySpec | None],
-    cell: Tuple[float, float, int],
-) -> ConfigOutcome | CellRejection:
-    """Process-backend variant of :func:`_solve_cell`.
-
-    The chunk carries only shared-memory handles; the worker maps
-    ``positions``/``profile``/``excludes`` (byte-exact, zero-copy, cached
-    per process) instead of receiving them re-pickled with every cell.
-    """
-    arrays = attach_shared_arrays(specs)
-    return _solve_cell(
-        localizer,
-        arrays["points"],
-        arrays["profile"],
-        arrays["segments"],
-        arrays["excludes"],
-        cell,
-    )
-
-
 def _fused_cells(
     localizer: LionLocalizer,
     points: np.ndarray,
@@ -199,7 +137,11 @@ def _fused_cells(
     excludes: np.ndarray,
     cells: List[Tuple[float, float, int]],
 ) -> List[ConfigOutcome | CellRejection]:
-    """Run the fused engine and wrap its per-cell results like the legacy path."""
+    """Solve every grid cell through the fused engine of :mod:`repro.core.sweep`.
+
+    Returns one slot per cell, in sweep order: the cell's outcome, or a
+    :class:`CellRejection` carrying the reason its solve failed.
+    """
     wrapped: List[ConfigOutcome | CellRejection] = []
     for (range_m, interval_m, _), result in zip(
         cells, fused_sweep(localizer, points, profile, segments, excludes, cells)
@@ -222,24 +164,16 @@ def _adaptive_localize_impl(
     exclude_mask: np.ndarray | None = None,
     selection_quantile: float = 0.25,
     criterion: str = "abs_mean",
-    executor: str | Executor | None = "serial",
-    jobs: int | None = None,
-    fused: bool | None = None,
 ) -> AdaptiveResult:
     """Run the localizer over the parameter grid and fuse the cleanest solves.
 
     The wrapped profile is preprocessed (unwrapped + smoothed) exactly
     once — preprocessing does not depend on the grid point — and the
     per-cell window masks for every scanning range are built in one
-    vectorized pass. With the serial executor (the default) the grid is
-    solved through the fused engine of :mod:`repro.core.sweep`: one
-    preparation per range window, cached pair selection, and a single
-    batch IRLS solve — bit-identical to the per-cell path, only
-    faster. Pool executors keep the per-cell dispatch (cells are solved
-    independently and collected in sweep order, so the result is
-    identical on every backend); the process backend ships the shared
-    arrays through ``multiprocessing.shared_memory`` instead of
-    re-pickling them per chunk.
+    vectorized pass. The grid is solved through the fused engine of
+    :mod:`repro.core.sweep`: one preparation per range window, cached
+    pair selection, and a single batch IRLS solve — bit-identical to
+    calling ``localizer.locate`` once per cell, only faster.
 
     Args:
         localizer: a configured :class:`LionLocalizer`.
@@ -255,14 +189,6 @@ def _adaptive_localize_impl(
         criterion: ``"abs_mean"`` ranks by |weighted mean normalized
             residual| (the paper's description); ``"mean_abs"`` ranks by
             mean |normalized residual| (a direct dirtiness measure).
-        executor: backend for dispatching grid cells — ``"serial"``,
-            ``"thread"``, ``"process"``, or a prebuilt
-            :class:`repro.parallel.Executor`.
-        jobs: worker count for pool backends; defaults to the CLI
-            ``--jobs`` value, ``LION_JOBS``, or the CPU count.
-        fused: force the fused batch engine on (``True``) or off
-            (``False``); ``None`` picks it automatically — fused for the
-            serial executor, per-cell dispatch for pool backends.
 
     Raises:
         ValueError: if every grid point fails to produce a solve or the
@@ -300,23 +226,8 @@ def _adaptive_localize_impl(
     ]
     grid_size = len(grid.ranges_m) * len(grid.intervals_m)
 
-    runner = get_executor(executor, jobs=jobs)
-    if fused is None:
-        fused = runner.name == "serial"
     with span("adaptive_sweep", cells=len(cells), criterion=criterion):
-        if fused:
-            raw = _fused_cells(localizer, points, profile, segments, excludes, cells)
-        elif runner.name == "process":
-            with SharedArrayBundle(
-                points=points, profile=profile, segments=segments, excludes=excludes
-            ) as bundle:
-                solve = functools.partial(_solve_cell_shared, localizer, bundle.specs)
-                raw = runner.map(solve, cells)
-        else:
-            solve = functools.partial(
-                _solve_cell, localizer, points, profile, segments, excludes
-            )
-            raw = runner.map(solve, cells)
+        raw = _fused_cells(localizer, points, profile, segments, excludes, cells)
     outcomes = [result for result in raw if isinstance(result, ConfigOutcome)]
     rejections = [result for result in raw if isinstance(result, CellRejection)]
 
@@ -356,67 +267,3 @@ def _adaptive_localize_impl(
         outcomes=outcomes,
         selected=selected,
     )
-
-
-def adaptive_localize(
-    localizer: LionLocalizer,
-    positions: np.ndarray,
-    wrapped_phase_rad: np.ndarray,
-    grid: ParameterGrid | None = None,
-    segment_ids: np.ndarray | None = None,
-    exclude_mask: np.ndarray | None = None,
-    selection_quantile: float = 0.25,
-    criterion: str = "abs_mean",
-    executor: str | Executor | None = "serial",
-    jobs: int | None = None,
-    fused: bool | None = None,
-) -> AdaptiveResult:
-    """Deprecated entry point for the adaptive sweep.
-
-    Use the ``"lion-adaptive"`` estimator from :mod:`repro.pipeline`
-    instead; this shim forwards through the registry (identical results)
-    and will be removed once downstream callers have migrated. See
-    :func:`_adaptive_localize_impl` for the algorithm and argument
-    documentation.
-    """
-    warnings.warn(
-        "adaptive_localize() is deprecated; use "
-        "repro.pipeline.estimate('lion-adaptive', request, config) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import pipeline
-
-    if grid is None:
-        grid = ParameterGrid()
-    config = pipeline.AdaptiveLionConfig(
-        dim=localizer.dim,
-        wavelength_m=localizer.wavelength_m,
-        method=localizer.method,
-        interval_m=localizer.interval_m,
-        positive_side=localizer.positive_side,
-        smoothing_window=localizer.preprocess.smoothing_window,
-        jump_threshold_rad=localizer.preprocess.jump_threshold_rad,
-        hampel_window=localizer.preprocess.hampel_window,
-        max_iterations=localizer.max_iterations,
-        tolerance_m=localizer.tolerance_m,
-        ranges_m=tuple(float(r) for r in grid.ranges_m),
-        intervals_m=tuple(float(i) for i in grid.intervals_m),
-        axis=grid.axis,
-        center=grid.center,
-        selection_quantile=selection_quantile,
-        criterion=criterion,
-        executor=executor if isinstance(executor, str) else "serial",
-        jobs=jobs,
-        fused=fused,
-    )
-    estimator = pipeline.create_estimator("lion-adaptive", config)
-    if executor is not None and not isinstance(executor, str):
-        estimator.runtime_executor = executor
-    request = pipeline.EstimationRequest(
-        positions=positions,
-        phases_rad=wrapped_phase_rad,
-        segment_ids=segment_ids,
-        exclude_mask=exclude_mask,
-    )
-    return estimator.estimate(request).raw

@@ -43,7 +43,7 @@ batchmates are prepared exactly as if the bad member never existed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,12 +52,10 @@ from repro.core.localizer import LionLocalizer, PreparedScan, ScanTemplate
 from repro.core.sweep import content_digest
 from repro.lru import BoundedLRU
 from repro.obs import get_registry, metrics_enabled
-from repro.pipeline.contract import EstimationRequest
 
 __all__ = [
     "PreparedMember",
     "ScanTemplate",
-    "batch_prepare",
     "clear_template_cache",
     "prepare_batch",
     "template_cache_info",
@@ -187,20 +185,24 @@ def _array_digest(memo: Dict[int, bytes], array: Optional[np.ndarray]) -> bytes:
 
 def prepare_batch(
     localizer: LionLocalizer,
-    requests: Sequence[EstimationRequest],
+    requests: Sequence[Any],
     dtype: "np.dtype | type" = np.float64,
 ) -> List[PreparedMember]:
     """Run ``prepare()`` for a group of requests as stacked batch work.
 
-    The rich-result twin of :func:`batch_prepare`: every slot carries the
-    prepared scan (or the per-member ``ValueError``), the template that
-    produced it, and the content digests the serve layer reuses as
+    Every slot carries the prepared scan — bit-identical in float64 to
+    ``localizer.prepare(...)`` on the same request — or the
+    ``ValueError`` that member raises on the scalar path, the template
+    that produced it, and the content digests the serve layer reuses as
     pairing-recipe cache keys.
 
     Args:
         localizer: the group's configured localizer (one per batch — the
             serve engine groups requests by config hash).
-        requests: the member requests, in batch order.
+        requests: the member requests, in batch order: each a
+            :class:`repro.pipeline.EstimationRequest`, or any object with
+            its ``positions``, ``phases_rad``, ``segment_ids``,
+            ``exclude_mask`` and ``reference_index`` fields.
         dtype: ``np.float64`` (default, bit-identical to the scalar
             path) or ``np.float32`` (opt-in throughput mode; phase
             preprocessing and distance differences run in single
@@ -322,27 +324,3 @@ def prepare_batch(
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
         ).observe(float(len(requests)))
     return members
-
-
-def batch_prepare(
-    localizer: LionLocalizer,
-    requests: Sequence[EstimationRequest],
-    dtype: "np.dtype | type" = np.float64,
-) -> List[PreparedScan | ValueError]:
-    """Batched :meth:`LionLocalizer.prepare` over a group of requests.
-
-    Returns one slot per request, in order: the
-    :class:`~repro.core.localizer.PreparedScan` — bit-identical in
-    float64 to ``localizer.prepare(...)`` on the same request — or the
-    ``ValueError`` subclass that member raises on the scalar path.
-    See :func:`prepare_batch` for the rich per-member records the serve
-    layer consumes.
-    """
-    results: List[PreparedScan | ValueError] = []
-    for member in prepare_batch(localizer, requests, dtype=dtype):
-        if member.error is not None:
-            results.append(member.error)
-        else:
-            assert member.prepared is not None
-            results.append(member.prepared)
-    return results

@@ -9,9 +9,11 @@ offsets unless they have been calibrated away.
 
 This module provides the differential machinery as a first-class API:
 
-* :func:`differential_hologram` — the likelihood grid search over
-  candidate tag positions, with per-antenna position and offset
-  corrections applied (the Fig. 20 method);
+* the likelihood grid search over candidate tag positions, with
+  per-antenna position and offset corrections applied (the Fig. 20
+  method) — served as the ``lion-multiantenna`` estimator of
+  :mod:`repro.pipeline`, and as :func:`locate_tag_with_array` for a
+  :class:`CalibratedArray` at a calibration level;
 * :func:`locate_tag_differential` — the same measurement model solved by
   nonlinear least squares on the wrapped phase differences (faster and
   grid-free, at the cost of needing an initial guess inside the correct
@@ -23,7 +25,6 @@ This module provides the differential machinery as a first-class API:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Literal, Sequence, Tuple
 
@@ -238,39 +239,3 @@ def locate_tag_with_array(
         offset_corrections_rad=array.offset_corrections(level),
         wavelength_m=wavelength_m,
     )
-
-
-def differential_hologram(
-    centers: np.ndarray,
-    measured_phase_rad: np.ndarray,
-    bounds: Sequence[Bounds],
-    grid_size_m: float = 0.004,
-    offset_corrections_rad: np.ndarray | None = None,
-    wavelength_m: float = DEFAULT_WAVELENGTH_M,
-) -> DifferentialResult:
-    """Deprecated entry point for the multi-antenna grid search.
-
-    Use the ``"lion-multiantenna"`` estimator from :mod:`repro.pipeline`
-    instead; this shim forwards through the registry (identical results)
-    and will be removed once downstream callers have migrated. See
-    :func:`_differential_hologram_impl` for the algorithm and argument
-    documentation.
-    """
-    warnings.warn(
-        "differential_hologram() is deprecated; use "
-        "repro.pipeline.estimate('lion-multiantenna', request, config) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import pipeline
-
-    config = pipeline.MultiAntennaConfig(
-        wavelength_m=wavelength_m, grid_size_m=grid_size_m
-    )
-    request = pipeline.EstimationRequest(
-        positions=centers,
-        phases_rad=measured_phase_rad,
-        bounds=tuple(bounds),
-        offset_corrections_rad=offset_corrections_rad,
-    )
-    return pipeline.estimate("lion-multiantenna", request, config).raw

@@ -27,7 +27,6 @@ channels.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -363,49 +362,3 @@ def _refine_with_references(
         )
     refined, *_ = np.linalg.lstsq(matrix, vector, rcond=None)
     return refined
-
-
-def locate_multireference(
-    positions: np.ndarray,
-    wrapped_phase_rad: np.ndarray,
-    run_ids: np.ndarray,
-    dim: int = 3,
-    interval_m: float = 0.25,
-    wavelengths_m: "Dict[int, float] | float" = DEFAULT_WAVELENGTH_M,
-    smoothing_window: int = 9,
-    weighted: bool = True,
-    positive_side: bool = True,
-) -> MultiReferenceSolution:
-    """Deprecated entry point for multi-run localization.
-
-    Use the ``"lion-multiref"`` estimator from :mod:`repro.pipeline`
-    instead; this shim forwards through the registry (identical results)
-    and will be removed once downstream callers have migrated. See
-    :func:`_locate_multireference_impl` for the algorithm and argument
-    documentation.
-    """
-    warnings.warn(
-        "locate_multireference() is deprecated; use "
-        "repro.pipeline.estimate('lion-multiref', request, config) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import pipeline
-
-    config = pipeline.MultiRefLionConfig(
-        dim=dim,
-        interval_m=interval_m,
-        wavelength_m=(
-            DEFAULT_WAVELENGTH_M
-            if isinstance(wavelengths_m, dict)
-            else float(wavelengths_m)
-        ),
-        wavelengths_by_run=wavelengths_m if isinstance(wavelengths_m, dict) else None,
-        smoothing_window=smoothing_window,
-        weighted=weighted,
-        positive_side=positive_side,
-    )
-    request = pipeline.EstimationRequest(
-        positions=positions, phases_rad=wrapped_phase_rad, run_ids=run_ids
-    )
-    return pipeline.estimate("lion-multiref", request, config).raw

@@ -113,9 +113,9 @@ def component_runs(
 ) -> List[np.ndarray]:
     """Group reads into connected components of the pairing graph.
 
-    Useful to derive the ``run_ids`` for
-    :func:`repro.core.multiref.locate_multireference` when a pairing has
-    naturally split the reads.
+    Useful to derive the ``run_ids`` of a ``lion-multiref`` request
+    (:mod:`repro.core.multiref`) when a pairing has naturally split the
+    reads.
 
     Raises:
         ValueError: on an empty pair list or out-of-range indices.

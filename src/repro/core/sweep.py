@@ -1,10 +1,10 @@
 """Fused adaptive-sweep engine: shared prep, cached pairing, one batch solve.
 
 The adaptive parameter selection of Sec. IV-C1 solves a 6x6
-(range, interval) grid per localization; the legacy path ran each cell
-through a full scalar :meth:`LionLocalizer.locate` — per-cell masking,
-per-cell pairing, per-cell scalar IRLS. The cells are far from
-independent, though:
+(range, interval) grid per localization. Solving each cell through a
+full scalar :meth:`LionLocalizer.locate` would repeat the masking, the
+pairing and the IRLS per cell. The cells are far from independent,
+though:
 
 * every cell of one grid *row* shares the same range-window mask, so
   the geometry step (:meth:`LionLocalizer.scan_template`: masking,
@@ -26,10 +26,9 @@ independent, though:
   stops each cell on its own standard error; its solutions are
   bit-identical to the scalar solver.
 
-:func:`fused_sweep` therefore returns exactly the per-cell results (and
-per-cell ``ValueError`` rejections) the legacy per-cell dispatch would
-produce, only faster; ``tests/test_adaptive_fused.py`` pins the
-equivalence bitwise.
+:func:`fused_sweep` therefore returns exactly the results (and the
+``ValueError`` rejections) of one ``locate()`` per cell, only faster;
+``tests/test_adaptive_fused.py`` pins the equivalence bitwise.
 """
 
 from __future__ import annotations
@@ -154,8 +153,9 @@ def fused_sweep(
 
     Returns:
         Per-cell results aligned with ``cells``: a
-        :class:`LocalizationResult`, or the ``ValueError`` the scalar
-        per-cell path would have raised (bit-identical either way).
+        :class:`LocalizationResult`, or the ``ValueError`` a scalar
+        ``locate()`` of the cell would have raised (bit-identical either
+        way).
     """
     results: List[CellResult | None] = [None] * len(cells)
     scan_key = (_digest(points), _digest(segments) if segments is not None else b"")

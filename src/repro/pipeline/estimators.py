@@ -41,7 +41,6 @@ from repro.baselines.angle import _locate_rotating_tag_impl
 from repro.baselines.hologram import DifferentialHologram
 from repro.baselines.hyperbola import _locate_hyperbola_impl
 from repro.baselines.parabola import _locate_parabola_2d_impl
-from repro.parallel import Executor
 from repro.pipeline.config import EstimatorConfig
 from repro.pipeline.contract import (
     EstimationReport,
@@ -438,11 +437,8 @@ class MultiAntennaEstimator:
 class AdaptiveLionConfig(LionConfig):
     """Config of the adaptive (range, interval) sweep around LION.
 
-    Extends :class:`LionConfig` with the grid and selection knobs of
-    :func:`repro.core.adaptive.adaptive_localize`. ``executor`` names a
-    :mod:`repro.parallel` backend for fanning grid cells out. ``fused``
-    forces the fused batch sweep on or off; ``None`` keeps the default
-    (fused on the serial backend, per-cell dispatch otherwise).
+    Extends :class:`LionConfig` with the grid and selection knobs of the
+    sweep in :mod:`repro.core.adaptive`.
     """
 
     ranges_m: Tuple[float, ...] = (0.6, 0.7, 0.8, 0.9, 1.0, 1.1)
@@ -451,9 +447,6 @@ class AdaptiveLionConfig(LionConfig):
     center: float = 0.0
     selection_quantile: float = 0.25
     criterion: str = "abs_mean"
-    executor: str = "serial"
-    jobs: int | None = None
-    fused: bool | None = None
 
     def build_grid(self) -> ParameterGrid:
         """Construct the configured :class:`ParameterGrid`."""
@@ -466,20 +459,13 @@ class AdaptiveLionConfig(LionConfig):
 
 
 class AdaptiveLionEstimator:
-    """LION with the paper's adaptive parameter selection (Sec. IV-C1).
-
-    Attributes:
-        runtime_executor: optional prebuilt :class:`repro.parallel.Executor`
-            overriding the config's backend name (executors are live
-            objects and therefore not part of the serializable config).
-    """
+    """LION with the paper's adaptive parameter selection (Sec. IV-C1)."""
 
     name = "lion-adaptive"
 
     def __init__(self, config: AdaptiveLionConfig) -> None:
         self.config = config
         self._localizer = config.build_localizer()
-        self.runtime_executor: Executor | None = None
 
     def estimate(self, request: EstimationRequest) -> EstimationReport:
         """Sweep the grid and fuse the lowest-|mean residual| solves."""
@@ -493,9 +479,6 @@ class AdaptiveLionEstimator:
             exclude_mask=request.exclude_mask,
             selection_quantile=self.config.selection_quantile,
             criterion=self.config.criterion,
-            executor=self.runtime_executor or self.config.executor,
-            jobs=self.config.jobs,
-            fused=self.config.fused,
         )
         best = result.best_outcome
         return build_report(

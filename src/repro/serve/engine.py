@@ -7,7 +7,7 @@ Request path::
                        ┌─────────────────────────────────────────┤
                        ▼                                         ▼
                fused batch dispatch                    per-request dispatch
-          (lion/wls groups, one stacked IRLS)      (everything else, executor)
+          (lion/wls groups, one stacked IRLS)     (everything else, in turn)
 
 ``submit`` resolves the estimator config (failing fast on unknown names
 or bad configs), consults the LRU result cache, and enqueues into a
@@ -20,12 +20,11 @@ together with every compatible request already queued (up to
 waiting for batchmates. Under load, batches fill with the requests that
 queued behind the previous dispatch; an idle engine dispatches a lone
 request at once. Batchable groups run through the fused path of
-:mod:`repro.serve.batching`, scalar groups through a
-:mod:`repro.parallel` executor with per-member exception isolation.
-Members whose fused slot failed — or whose whole batch raised
-unexpectedly — are retried individually on the scalar path, so one bad
-request degrades alone and the error a caller sees is exactly the
-scalar path's error.
+:mod:`repro.serve.batching`, scalar groups one request at a time with
+per-member exception isolation. Members whose fused slot failed — or
+whose whole batch raised unexpectedly — are retried individually on the
+scalar path, so one bad request degrades alone and the error a caller
+sees is exactly the scalar path's error.
 
 Deadlines are enforced at dispatch time: an expired ticket gets
 :class:`DeadlineExceededError` without consuming solve time, and a
@@ -72,7 +71,6 @@ from repro.obs import (
     metrics_enabled,
     span,
 )
-from repro.parallel import Executor, get_executor
 from repro.pipeline.config import EstimatorConfig
 from repro.pipeline.contract import EstimationReport, EstimationRequest
 from repro.pipeline.estimators import LionEstimator
@@ -130,11 +128,6 @@ class ServeConfig:
             batcher takes whatever compatible requests are queued when it
             is free, up to this bound; it never waits for more.
         cache_entries: LRU result-cache capacity; ``0`` disables caching.
-        scalar_executor: :mod:`repro.parallel` backend name for
-            per-request groups (``"serial"`` or ``"thread"``;
-            ``"process"`` is rejected — request closures are unpicklable).
-        jobs: worker count for the scalar executor, ``None`` for the
-            session default.
         default_deadline_s: deadline applied to requests submitted
             without one; ``None`` means no deadline.
         fuse_singletons: dispatch batchable *singleton* groups through
@@ -165,8 +158,6 @@ class ServeConfig:
     max_queue_depth: int = 256
     max_batch_size: int = 32
     cache_entries: int = 128
-    scalar_executor: str = "serial"
-    jobs: Optional[int] = None
     default_deadline_s: Optional[float] = None
     fuse_singletons: bool = False
     dtype: str = "float64"
@@ -178,10 +169,6 @@ class ServeConfig:
             raise ValueError(f"max_batch_size must be positive, got {self.max_batch_size}")
         if self.cache_entries < 0:
             raise ValueError(f"cache_entries must be non-negative, got {self.cache_entries}")
-        if self.scalar_executor not in ("serial", "thread"):
-            raise ValueError(
-                f"scalar_executor must be 'serial' or 'thread', got {self.scalar_executor!r}"
-            )
         if self.default_deadline_s is not None and self.default_deadline_s <= 0.0:
             raise ValueError(
                 f"default_deadline_s must be positive, got {self.default_deadline_s}"
@@ -323,9 +310,6 @@ class ServeEngine:
         # configs (raw mappings) skip the memo; bounded to keep a
         # pathological config-churn caller from growing it unboundedly.
         self._config_memo: Dict[Tuple[str, Any], Tuple[EstimatorConfig, str]] = {}
-        self._executor: Executor = get_executor(
-            self.config.scalar_executor, jobs=self.config.jobs
-        )
         self._thread: Optional[threading.Thread] = None
         if start:
             self.start()
@@ -715,17 +699,12 @@ class ServeEngine:
 
     def _execute_scalar(self, items: List[_Item]) -> None:
         """Run each member through its own estimator, isolating failures."""
-
-        def run_one(item: _Item) -> EstimationReport:
-            with bind_request_id(item.request_id):
-                with span("serve.scalar", estimator=item.name, request_id=item.request_id):
-                    return create_estimator(item.name, item.config).estimate(item.request)
-
-        outcomes = self._executor.map_catching(run_one, items)
-        for item, (ok, payload) in zip(items, outcomes):
-            if ok:
-                self._resolve(item, payload)
-            else:
+        for item in items:
+            try:
+                with bind_request_id(item.request_id):
+                    with span("serve.scalar", estimator=item.name, request_id=item.request_id):
+                        report = create_estimator(item.name, item.config).estimate(item.request)
+            except Exception as error:  # noqa: BLE001 - one bad request fails alone
                 with self._cv:
                     self._stats.failed += 1
                 self._count_result("error")
@@ -733,10 +712,12 @@ class ServeEngine:
                     _logger.debug(
                         "request failed: estimator=%s error=%s: %s",
                         item.name,
-                        type(payload).__name__,
-                        payload,
+                        type(error).__name__,
+                        error,
                     )
-                item.future.set_exception(payload)
+                item.future.set_exception(error)
+            else:
+                self._resolve(item, report)
 
     def _resolve(self, item: _Item, report: EstimationReport) -> None:
         """Cache and deliver one successful report."""

@@ -363,10 +363,15 @@ class NetServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        try:
-            await asyncio.wait_for(self._idle.wait(), self.config.drain_timeout_s)
-        except asyncio.TimeoutError:
-            pass
+        # ``_idle`` wakes its waiter even if another exchange starts before
+        # this coroutine resumes, so re-check the count: connections close
+        # only once no dispatched request still owes its response.
+        deadline = time.monotonic() + self.config.drain_timeout_s
+        while self._inflight:
+            try:
+                await asyncio.wait_for(self._idle.wait(), deadline - time.monotonic())
+            except asyncio.TimeoutError:
+                break
         for writer in list(self._connections):
             writer.close()
         if self._sweep_task is not None:
@@ -409,7 +414,9 @@ class NetServer:
                         writer, error.status, error.body, close=True
                     )
                     break
-                if parsed is None:
+                if parsed is None or writer.is_closing():
+                    # A request read after the drain closed this
+                    # connection could never be answered: never dispatch it.
                     break
                 method, path, headers, body = parsed
                 self._inflight += 1

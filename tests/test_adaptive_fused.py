@@ -1,9 +1,10 @@
 """Fused adaptive sweep: bitwise equivalence, pairing cache, shared arrays.
 
 The fused engine (:mod:`repro.core.sweep`) must be indistinguishable from
-the legacy per-cell dispatch down to the last bit — same positions, same
-solver trajectories, same rejection reasons in the same order — on every
-executor backend and in both 2-D and 3-D. These tests pin that contract.
+solving each grid cell with its own :meth:`LionLocalizer.locate` down to
+the last bit — same positions, same solver trajectories, same rejection
+reasons in the same order — in both 2-D and 3-D. These tests pin that
+contract against the per-cell reference below.
 """
 
 import numpy as np
@@ -13,8 +14,8 @@ from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
 from repro.core.adaptive import (
     ParameterGrid,
     _adaptive_localize_impl,
+    _classify_rejection,
     _fused_cells,
-    _solve_cell,
     CellRejection,
     ConfigOutcome,
 )
@@ -64,28 +65,45 @@ def _scenario(name):
     return localizer, positions, phases, segments, mask
 
 
-def _assert_results_identical(fused, legacy):
-    assert np.array_equal(fused.position, legacy.position)
-    assert fused.reference_distance_m == legacy.reference_distance_m
-    assert fused.selected == legacy.selected
-    assert len(fused.outcomes) == len(legacy.outcomes)
-    for ours, theirs in zip(fused.outcomes, legacy.outcomes):
-        assert ours.range_m == theirs.range_m
-        assert ours.interval_m == theirs.interval_m
-        assert np.array_equal(ours.result.position, theirs.result.position)
-        mine, ref = ours.result.solution, theirs.result.solution
-        assert np.array_equal(mine.estimate, ref.estimate)
-        assert np.array_equal(mine.residuals, ref.residuals)
-        assert np.array_equal(mine.normalized_residuals, ref.normalized_residuals)
-        assert np.array_equal(mine.weights, ref.weights)
-        assert mine.iterations == ref.iterations
-        assert mine.converged == ref.converged
+def _sweep_inputs(localizer, positions, phases, segments, mask, grid):
+    """The profile, range-window masks and cells the sweep solves."""
+    profile = localizer.preprocess_phase(phases, segment_ids=segments)
+    base = mask if mask is not None else np.zeros(len(positions), dtype=bool)
+    offsets = np.abs(positions[:, grid.axis] - grid.center)
+    ranges = np.asarray(grid.ranges_m)
+    excludes = base[np.newaxis, :] | (offsets[np.newaxis, :] > ranges[:, np.newaxis] / 2.0)
+    cells = [
+        (float(range_m), float(interval_m), row)
+        for row, range_m in enumerate(grid.ranges_m)
+        for interval_m in grid.intervals_m
+        if interval_m < range_m
+    ]
+    return profile, excludes, cells
+
+
+def _per_cell_reference(localizer, positions, profile, segments, excludes, cells):
+    """One ``locate()`` per cell: the answers the fused engine must match."""
+    results = []
+    for range_m, interval_m, row in cells:
+        try:
+            result = localizer.locate(
+                positions,
+                profile,
+                segment_ids=segments,
+                exclude_mask=excludes[row],
+                interval_m=interval_m,
+                assume_preprocessed=True,
+            )
+        except ValueError as error:
+            results.append(CellRejection(range_m, interval_m, _classify_rejection(error)))
+        else:
+            results.append(ConfigOutcome(range_m, interval_m, result))
+    return results
 
 
 class TestFusedEquivalence:
     @pytest.mark.parametrize("scenario", ("line2d", "raster3d"))
-    @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
-    def test_bitwise_identical_to_per_cell(self, scenario, backend):
+    def test_bitwise_identical_to_per_cell(self, scenario):
         localizer, positions, phases, segments, mask = _scenario(scenario)
         fused = _adaptive_localize_impl(
             localizer,
@@ -93,43 +111,42 @@ class TestFusedEquivalence:
             phases,
             segment_ids=segments,
             exclude_mask=mask,
-            fused=True,
         )
-        legacy = _adaptive_localize_impl(
-            localizer,
-            positions,
-            phases,
-            segment_ids=segments,
-            exclude_mask=mask,
-            executor=backend,
-            jobs=2,
-            fused=False,
+        profile, excludes, cells = _sweep_inputs(
+            localizer, positions, phases, segments, mask, ParameterGrid()
         )
-        _assert_results_identical(fused, legacy)
+        reference = [
+            outcome
+            for outcome in _per_cell_reference(
+                localizer, positions, profile, segments, excludes, cells
+            )
+            if isinstance(outcome, ConfigOutcome)
+        ]
+        assert len(fused.outcomes) == len(reference)
+        for ours, theirs in zip(fused.outcomes, reference):
+            assert ours.range_m == theirs.range_m
+            assert ours.interval_m == theirs.interval_m
+            assert np.array_equal(ours.result.position, theirs.result.position)
+            assert ours.result.reference_distance_m == theirs.result.reference_distance_m
+            mine, ref = ours.result.solution, theirs.result.solution
+            assert np.array_equal(mine.estimate, ref.estimate)
+            assert np.array_equal(mine.residuals, ref.residuals)
+            assert np.array_equal(mine.normalized_residuals, ref.normalized_residuals)
+            assert np.array_equal(mine.weights, ref.weights)
+            assert mine.iterations == ref.iterations
+            assert mine.converged == ref.converged
 
     def test_rejection_reasons_and_order_match(self):
         # The 5 mm window keeps < 3 reads (samples sit ~5 mm apart) -> a
         # too_few_reads rejection for that row, interleaved with good cells.
         localizer, positions, phases, _, _ = _scenario("line2d")
         grid = ParameterGrid(ranges_m=(0.005, 0.8), intervals_m=(0.004, 0.15))
-        profile = localizer.preprocess_phase(phases)
-        offsets = np.abs(positions[:, grid.axis] - grid.center)
-        ranges = np.asarray(grid.ranges_m)
-        excludes = offsets[np.newaxis, :] > ranges[:, np.newaxis] / 2.0
-        cells = [
-            (float(range_m), float(interval_m), row)
-            for row, range_m in enumerate(grid.ranges_m)
-            for interval_m in grid.intervals_m
-            if interval_m < range_m
-        ]
+        profile, excludes, cells = _sweep_inputs(localizer, positions, phases, None, None, grid)
         fused = _fused_cells(localizer, positions, profile, None, excludes, cells)
-        legacy = [
-            _solve_cell(localizer, positions, profile, None, excludes, cell)
-            for cell in cells
-        ]
-        assert len(fused) == len(legacy)
+        reference = _per_cell_reference(localizer, positions, profile, None, excludes, cells)
+        assert len(fused) == len(reference)
         rejected = 0
-        for ours, theirs in zip(fused, legacy):
+        for ours, theirs in zip(fused, reference):
             assert type(ours) is type(theirs)
             if isinstance(ours, CellRejection):
                 assert ours.reason == theirs.reason

@@ -13,7 +13,6 @@ import pytest
 
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
 from repro.core.batch_prepare import (
-    batch_prepare,
     clear_template_cache,
     prepare_batch,
     template_cache_info,
@@ -37,6 +36,14 @@ def _fresh_caches():
     yield
     clear_template_cache()
     clear_pair_cache()
+
+
+def _slots(localizer, requests, dtype=np.float64):
+    """Each member's prepared scan, or the ``ValueError`` that ejected it."""
+    return [
+        member.prepared if member.error is None else member.error
+        for member in prepare_batch(localizer, requests, dtype=dtype)
+    ]
 
 
 def _line_request(seed=0, reads=40, dim=2, target=(0.3, 0.8), **fields):
@@ -104,7 +111,7 @@ class TestBitIdentity:
             _line_request(seed=4, reference_index=11),
             _line_request(seed=5, reads=25),
         ]
-        batched = batch_prepare(localizer, requests)
+        batched = _slots(localizer, requests)
         for request, ours in zip(requests, batched):
             theirs = localizer.prepare(
                 request.positions,
@@ -123,7 +130,7 @@ class TestBitIdentity:
                 _line_request(seed=int(rng.integers(1 << 30)), reads=int(rng.integers(20, 60)))
                 for _ in range(6)
             ]
-            for ours, request in zip(batch_prepare(localizer, requests), requests):
+            for ours, request in zip(_slots(localizer, requests), requests):
                 theirs = localizer.prepare(request.positions, request.phases_rad)
                 _assert_scan_equal(ours, theirs)
 
@@ -163,8 +170,8 @@ class TestFloat32Bounds:
     def test_prepared_deltas_bounded(self):
         localizer = LionLocalizer(dim=2, interval_m=0.25)
         requests = [_line_request(seed=s) for s in range(4)]
-        exact = batch_prepare(localizer, requests)
-        approx = batch_prepare(localizer, requests, dtype=np.float32)
+        exact = _slots(localizer, requests)
+        approx = _slots(localizer, requests, dtype=np.float32)
         for ours, theirs in zip(approx, exact):
             assert ours.delta_d.dtype == np.float32
             assert float(np.max(np.abs(ours.delta_d - theirs.delta_d))) < 1e-5
@@ -183,12 +190,12 @@ class TestTemplateCache:
     def test_repeat_geometry_hits(self):
         localizer = LionLocalizer(dim=2, interval_m=0.25)
         requests = [_line_request(seed=s) for s in range(4)]
-        batch_prepare(localizer, requests)
+        _slots(localizer, requests)
         first = template_cache_info()
         # all four members share one trajectory digest -> one build.
         assert first["misses"] == 1
         assert first["hits"] == 3
-        batch_prepare(localizer, requests)
+        _slots(localizer, requests)
         second = template_cache_info()
         assert second["misses"] == 1
         assert second["hits"] == 7
@@ -199,12 +206,12 @@ class TestTemplateCache:
         mask = np.zeros(40, bool)
         mask[:5] = True
         requests = [_line_request(seed=1), _line_request(seed=1, exclude_mask=mask)]
-        batch_prepare(localizer, requests)
+        _slots(localizer, requests)
         assert template_cache_info()["misses"] == 2
 
     def test_clear_resets_counters(self):
         localizer = LionLocalizer(dim=2, interval_m=0.25)
-        batch_prepare(localizer, [_line_request()])
+        _slots(localizer, [_line_request()])
         clear_template_cache()
         info = template_cache_info()
         assert info == {"hits": 0, "misses": 0, "size": 0, "max_size": info["max_size"]}
@@ -232,7 +239,7 @@ class TestRaggedBatches:
             phases_rad=np.array([0.1, 0.2]),
         )
         good = [_line_request(seed=s) for s in range(3)]
-        results = batch_prepare(localizer, [good[0], bad, good[1], good[2]])
+        results = _slots(localizer, [good[0], bad, good[1], good[2]])
         assert isinstance(results[1], TooFewReadsError)
         _assert_ejected_like_scalar(localizer, results[1], bad)
         for slot, request in ((0, good[0]), (2, good[1]), (3, good[2])):
@@ -248,7 +255,7 @@ class TestRaggedBatches:
         spatial = EstimationRequest(
             positions=spatial_positions, phases_rad=spatial.phases_rad
         )
-        results = batch_prepare(localizer, [flat, spatial])
+        results = _slots(localizer, [flat, spatial])
         assert isinstance(results[0], DegenerateGeometryError)
         _assert_ejected_like_scalar(localizer, results[0], flat)
         _assert_scan_equal(
@@ -261,7 +268,7 @@ class TestRaggedBatches:
             positions=np.zeros((10, 4)), phases_rad=np.zeros(10)
         )
         good = _line_request(seed=4)
-        results = batch_prepare(localizer, [bad, good])
+        results = _slots(localizer, [bad, good])
         assert "positions must be" in str(results[0])
         _assert_ejected_like_scalar(localizer, results[0], bad)
         _assert_scan_equal(results[1], localizer.prepare(good.positions, good.phases_rad))
@@ -271,7 +278,7 @@ class TestRaggedBatches:
         smothered = _line_request(seed=5, exclude_mask=np.ones(40, bool))
         thin = _line_request(seed=6, exclude_mask=~np.isin(np.arange(40), [0, 7]))
         good = _line_request(seed=7)
-        results = batch_prepare(localizer, [smothered, thin, good])
+        results = _slots(localizer, [smothered, thin, good])
         assert isinstance(results[0], TooFewReadsError)
         assert isinstance(results[1], TooFewReadsError)
         _assert_ejected_like_scalar(localizer, results[0], smothered)
@@ -285,7 +292,7 @@ class TestRaggedBatches:
         phases[3] = np.nan
         poisoned = EstimationRequest(positions=poisoned.positions, phases_rad=phases)
         good = _line_request(seed=9)
-        results = batch_prepare(localizer, [poisoned, good])
+        results = _slots(localizer, [poisoned, good])
         assert "non-finite" in str(results[0])
         _assert_ejected_like_scalar(localizer, results[0], poisoned)
         _assert_scan_equal(results[1], localizer.prepare(good.positions, good.phases_rad))
@@ -297,7 +304,7 @@ class TestRaggedBatches:
         positions[5, 0] = np.inf
         poisoned = EstimationRequest(positions=positions, phases_rad=poisoned.phases_rad)
         good = _line_request(seed=10)
-        results = batch_prepare(localizer, [poisoned, good, poisoned])
+        results = _slots(localizer, [poisoned, good, poisoned])
         assert "non-finite" in str(results[0])
         _assert_ejected_like_scalar(localizer, results[0], poisoned)
         _assert_ejected_like_scalar(localizer, results[2], poisoned)
@@ -307,7 +314,7 @@ class TestRaggedBatches:
         localizer = LionLocalizer(dim=2, interval_m=0.25)
         bad = _line_request(seed=11, exclude_mask=np.zeros(39, bool))
         good = _line_request(seed=11, exclude_mask=np.zeros(40, bool))
-        results = batch_prepare(localizer, [bad, good])
+        results = _slots(localizer, [bad, good])
         assert "exclude_mask" in str(results[0])
         _assert_ejected_like_scalar(localizer, results[0], bad)
         _assert_scan_equal(
@@ -319,7 +326,7 @@ class TestRaggedBatches:
         localizer = LionLocalizer(dim=2, interval_m=0.25)
         bad = _line_request(seed=12, segment_ids=np.zeros(39, int))
         good = _line_request(seed=12, segment_ids=np.zeros(40, int))
-        results = batch_prepare(localizer, [bad, good])
+        results = _slots(localizer, [bad, good])
         assert "segment_ids" in str(results[0])
         _assert_ejected_like_scalar(localizer, results[0], bad)
         _assert_scan_equal(
@@ -329,7 +336,7 @@ class TestRaggedBatches:
 
     def test_missing_fields_member(self):
         localizer = LionLocalizer(dim=2, interval_m=0.25)
-        results = batch_prepare(
+        results = _slots(
             localizer, [EstimationRequest(positions=np.zeros((5, 2))), _line_request()]
         )
         assert isinstance(results[0], ValueError)

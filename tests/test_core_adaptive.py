@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
-from repro.core.adaptive import AdaptiveResult, ParameterGrid, adaptive_localize
+from repro.core.adaptive import ParameterGrid, _adaptive_localize_impl
 from repro.core.localizer import LionLocalizer, PreprocessConfig
 
 
@@ -40,7 +40,7 @@ class TestAdaptiveLocalize:
         target = np.array([0.1, 0.8])
         positions, phases = _scan(target)
         localizer = LionLocalizer(dim=2, preprocess=PreprocessConfig(smoothing_window=1))
-        result = adaptive_localize(localizer, positions, phases)
+        result = _adaptive_localize_impl(localizer, positions, phases)
         assert result.position == pytest.approx(target, abs=1e-5)
 
     def test_outcomes_cover_grid(self):
@@ -48,7 +48,7 @@ class TestAdaptiveLocalize:
         positions, phases = _scan(target)
         grid = ParameterGrid(ranges_m=(0.6, 0.8), intervals_m=(0.2, 0.3))
         localizer = LionLocalizer(dim=2, preprocess=PreprocessConfig(smoothing_window=1))
-        result = adaptive_localize(localizer, positions, phases, grid=grid)
+        result = _adaptive_localize_impl(localizer, positions, phases, grid=grid)
         assert len(result.outcomes) == 4
         combos = {(o.range_m, o.interval_m) for o in result.outcomes}
         assert combos == {(0.6, 0.2), (0.6, 0.3), (0.8, 0.2), (0.8, 0.3)}
@@ -58,7 +58,7 @@ class TestAdaptiveLocalize:
         positions, phases = _scan(target)
         grid = ParameterGrid(ranges_m=(0.3,), intervals_m=(0.2, 0.4))
         localizer = LionLocalizer(dim=2, preprocess=PreprocessConfig(smoothing_window=1))
-        result = adaptive_localize(localizer, positions, phases, grid=grid)
+        result = _adaptive_localize_impl(localizer, positions, phases, grid=grid)
         assert len(result.outcomes) == 1
         assert result.outcomes[0].interval_m == pytest.approx(0.2)
 
@@ -66,7 +66,7 @@ class TestAdaptiveLocalize:
         target = np.array([0.0, 0.8])
         positions, phases = _scan(target, noise_std=0.1, rng=rng)
         localizer = LionLocalizer(dim=2)
-        result = adaptive_localize(
+        result = _adaptive_localize_impl(
             localizer, positions, phases, selection_quantile=0.5
         )
         assert len(result.selected) == int(np.ceil(0.5 * len(result.outcomes)))
@@ -75,7 +75,7 @@ class TestAdaptiveLocalize:
         target = np.array([0.0, 0.8])
         positions, phases = _scan(target, noise_std=0.1, rng=rng)
         localizer = LionLocalizer(dim=2)
-        result = adaptive_localize(localizer, positions, phases)
+        result = _adaptive_localize_impl(localizer, positions, phases)
         best = result.best_outcome
         assert all(best.abs_mean_residual <= o.abs_mean_residual for o in result.outcomes)
 
@@ -83,7 +83,7 @@ class TestAdaptiveLocalize:
         target = np.array([0.0, 0.8])
         positions, phases = _scan(target, noise_std=0.1, rng=rng)
         localizer = LionLocalizer(dim=2)
-        result = adaptive_localize(
+        result = _adaptive_localize_impl(
             localizer, positions, phases, criterion="mean_abs"
         )
         assert np.linalg.norm(result.position - target) < 0.05
@@ -91,12 +91,12 @@ class TestAdaptiveLocalize:
     def test_unknown_criterion_rejected(self):
         localizer = LionLocalizer(dim=2)
         with pytest.raises(ValueError):
-            adaptive_localize(localizer, np.zeros((5, 2)), np.zeros(5), criterion="bogus")
+            _adaptive_localize_impl(localizer, np.zeros((5, 2)), np.zeros(5), criterion="bogus")
 
     def test_bad_quantile_rejected(self):
         localizer = LionLocalizer(dim=2)
         with pytest.raises(ValueError):
-            adaptive_localize(
+            _adaptive_localize_impl(
                 localizer, np.zeros((5, 2)), np.zeros(5), selection_quantile=0.0
             )
 
@@ -107,4 +107,4 @@ class TestAdaptiveLocalize:
         grid = ParameterGrid(ranges_m=(0.001,), intervals_m=(0.3,))
         localizer = LionLocalizer(dim=2)
         with pytest.raises(ValueError):
-            adaptive_localize(localizer, positions, np.zeros(10), grid=grid)
+            _adaptive_localize_impl(localizer, positions, np.zeros(10), grid=grid)

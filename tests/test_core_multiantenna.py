@@ -7,7 +7,7 @@ from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
 from repro.core.calibration import AntennaCalibration
 from repro.core.multiantenna import (
     CalibratedArray,
-    differential_hologram,
+    _differential_hologram_impl,
     locate_tag_differential,
     locate_tag_with_array,
 )
@@ -32,7 +32,7 @@ def line_array():
 class TestDifferentialHologram:
     def test_exact_with_corrections(self, line_array):
         centers, tag, offsets, phases = line_array
-        result = differential_hologram(
+        result = _differential_hologram_impl(
             centers,
             phases,
             bounds=[(tag[0] - 0.15, tag[0] + 0.15), (tag[1] - 0.15, tag[1] + 0.15)],
@@ -45,10 +45,10 @@ class TestDifferentialHologram:
     def test_uncorrected_offsets_degrade(self, line_array):
         centers, tag, offsets, phases = line_array
         bounds = [(tag[0] - 0.15, tag[0] + 0.15), (tag[1] - 0.15, tag[1] + 0.15)]
-        corrected = differential_hologram(
+        corrected = _differential_hologram_impl(
             centers, phases, bounds, 0.004, offsets - offsets[0]
         )
-        uncorrected = differential_hologram(centers, phases, bounds, 0.004)
+        uncorrected = _differential_hologram_impl(centers, phases, bounds, 0.004)
         error_corrected = np.linalg.norm(corrected.position - tag)
         error_uncorrected = np.linalg.norm(uncorrected.position - tag)
         assert error_corrected < error_uncorrected
@@ -58,7 +58,7 @@ class TestDifferentialHologram:
                             [0.0, 0.3, 0.0]])
         tag = np.array([0.05, 0.7, 0.1])
         phases = _measured_phases(centers, tag, np.zeros(4))
-        result = differential_hologram(
+        result = _differential_hologram_impl(
             centers, phases,
             bounds=[(t - 0.08, t + 0.08) for t in tag],
             grid_size_m=0.008,
@@ -69,17 +69,17 @@ class TestDifferentialHologram:
         centers, tag, offsets, phases = line_array
         bounds = [(-0.2, 0.2), (0.6, 1.0)]
         with pytest.raises(ValueError):
-            differential_hologram(centers[:1], phases[:1], bounds)
+            _differential_hologram_impl(centers[:1], phases[:1], bounds)
         with pytest.raises(ValueError):
-            differential_hologram(centers, phases[:2], bounds)
+            _differential_hologram_impl(centers, phases[:2], bounds)
         with pytest.raises(ValueError):
-            differential_hologram(centers, phases, bounds, grid_size_m=0.0)
+            _differential_hologram_impl(centers, phases, bounds, grid_size_m=0.0)
         with pytest.raises(ValueError):
-            differential_hologram(
+            _differential_hologram_impl(
                 centers, phases, bounds, offset_corrections_rad=np.zeros(2)
             )
         with pytest.raises(ValueError):
-            differential_hologram(centers, phases, [(-0.2, 0.2)])
+            _differential_hologram_impl(centers, phases, [(-0.2, 0.2)])
 
 
 class TestLocateTagDifferential:

@@ -6,7 +6,7 @@ import pytest
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI, wavelength_for_frequency
 from repro.core.multiref import (
     build_multireference_system,
-    locate_multireference,
+    _locate_multireference_impl,
     solve_multireference,
 )
 
@@ -48,7 +48,7 @@ class TestSeparateSweeps:
         independent per-line phase datums still localizes exactly."""
         target = np.array([0.1, 0.8, 0.15])
         positions, phases, runs = _three_sweeps(target)
-        solution = locate_multireference(
+        solution = _locate_multireference_impl(
             positions, phases, runs, dim=3, interval_m=0.25, smoothing_window=1
         )
         assert solution.position == pytest.approx(target, abs=1e-6)
@@ -56,7 +56,7 @@ class TestSeparateSweeps:
     def test_reference_distances_match_geometry(self):
         target = np.array([0.0, 0.9, 0.1])
         positions, phases, runs = _three_sweeps(target)
-        solution = locate_multireference(
+        solution = _locate_multireference_impl(
             positions, phases, runs, dim=3, interval_m=0.25, smoothing_window=1
         )
         for run in (0, 1, 2):
@@ -70,7 +70,7 @@ class TestSeparateSweeps:
         errors = []
         for _ in range(5):
             positions, phases, runs = _three_sweeps(target, noise=0.05, rng=rng)
-            solution = locate_multireference(
+            solution = _locate_multireference_impl(
                 positions, phases, runs, dim=3, interval_m=0.25
             )
             errors.append(np.linalg.norm(solution.position - target))
@@ -100,7 +100,7 @@ class TestSeparateSweeps:
                 ]
             )
             results.append(
-                locate_multireference(
+                _locate_multireference_impl(
                     positions, phases, runs, dim=3, interval_m=0.25, smoothing_window=1
                 ).position
             )
@@ -124,7 +124,7 @@ class TestFrequencyHopping:
                 circle[members], target, wavelengths[run],
                 rng.uniform(0, TWO_PI), 0.05, rng,
             )
-        solution = locate_multireference(
+        solution = _locate_multireference_impl(
             circle, phases, runs, dim=2, interval_m=0.2, wavelengths_m=wavelengths
         )
         assert np.linalg.norm(solution.position - target) < 0.015
@@ -147,7 +147,7 @@ class TestFrequencyHopping:
                 positions[members], target, wavelengths[run],
                 rng.uniform(0, TWO_PI), 0.03, rng,
             )
-        solution = locate_multireference(
+        solution = _locate_multireference_impl(
             positions, phases, runs, dim=2, interval_m=0.2,
             wavelengths_m=wavelengths,
         )
@@ -161,7 +161,7 @@ class TestFrequencyHopping:
         phases = _run_phases(
             positions, target, DEFAULT_WAVELENGTH_M, 0.3, 0.0, None
         )
-        solution = locate_multireference(
+        solution = _locate_multireference_impl(
             positions, phases, runs, dim=2, interval_m=0.2,
             smoothing_window=1, positive_side=False,
         )
@@ -170,7 +170,7 @@ class TestFrequencyHopping:
     def test_missing_wavelength_rejected(self, rng):
         positions = np.stack([np.linspace(0, 1, 20), np.zeros(20)], axis=1)
         with pytest.raises(ValueError):
-            locate_multireference(
+            _locate_multireference_impl(
                 positions, np.zeros(20), np.zeros(20, dtype=int),
                 dim=2, wavelengths_m={5: 0.3},
             )
@@ -222,4 +222,4 @@ class TestBuildSystem:
         positions = np.stack([np.linspace(0, 1, 10), np.zeros(10)], axis=1)
         runs = np.array([0] * 8 + [1] * 2)
         with pytest.raises(ValueError):
-            locate_multireference(positions, np.zeros(10), runs, dim=2)
+            _locate_multireference_impl(positions, np.zeros(10), runs, dim=2)

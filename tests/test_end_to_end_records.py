@@ -87,14 +87,14 @@ class TestHoppingRecords:
             )
 
     def test_hop_blocks_usable_by_multiref(self, tmp_path, rng):
-        """Records grouped by hop channel feed locate_multireference.
+        """Records grouped by hop channel feed the lion-multiref estimator.
 
         Note: the simulated phases here use the channel's own wavelength
         per block (as real hopped reads would), built directly rather than
         through Channel (whose wavelength is fixed per config).
         """
         from repro.constants import TWO_PI, wavelength_for_frequency
-        from repro.core.multiref import locate_multireference
+        from repro.pipeline import EstimationRequest, estimate
 
         target = np.array([0.05, 0.85])
         x = np.linspace(-0.5, 0.5, 400)
@@ -114,8 +114,9 @@ class TestHoppingRecords:
                 + rng.normal(0, 0.04, 200),
                 TWO_PI,
             )
-        solution = locate_multireference(
-            positions3[:, :2], phases, blocks, dim=2,
-            interval_m=0.2, wavelengths_m=wavelengths,
+        report = estimate(
+            "lion-multiref",
+            EstimationRequest(positions=positions3[:, :2], phases_rad=phases, run_ids=blocks),
+            {"dim": 2, "interval_m": 0.2, "wavelengths_by_run": wavelengths},
         )
-        assert np.linalg.norm(solution.position - target) < 0.02
+        assert np.linalg.norm(report.position - target) < 0.02

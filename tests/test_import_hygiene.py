@@ -2,7 +2,8 @@
 
 The tool also runs standalone in CI's lint job; these tests keep its
 verdict correct in both directions — the tree is currently clean, and a
-sneaky solver import (even a lazy one inside a function) is caught.
+sneaky import (even a lazy one inside a function) is caught: a solver
+import in the harness, or an upward import in core or baselines.
 """
 
 import importlib.util
@@ -54,10 +55,65 @@ class TestGateVerdicts:
         tree = ast.parse(
             "def sneaky():\n"
             "    from repro.core.localizer import LionLocalizer\n"
-            "    return LionLocalizer\n"
+            "    from repro import pipeline\n"
+            "    return LionLocalizer, pipeline\n"
         )
         modules = [module for _, module in hygiene._imported_modules(tree)]
         assert "repro.core.localizer" in modules
+        # A name imported from a package may be a submodule.
+        assert "repro.pipeline" in modules
+
+
+class TestDownwardOnly:
+    """The solver rule: core and baselines never import the layers above."""
+
+    def test_flags_every_upper_layer(self):
+        for module in (
+            "repro.pipeline",
+            "repro.pipeline.contract",
+            "repro.serve",
+            "repro.serve.net.http",
+            "repro.stream",
+            "repro.calib.store",
+            "repro.experiments.montecarlo",
+            "repro.cli",
+        ):
+            assert hygiene._is_upper(module), module
+
+    def test_allows_lower_layers_and_lookalikes(self):
+        for module in (
+            "repro.core.localizer",
+            "repro.signalproc.unwrap",
+            "repro.obs",
+            "repro.parallel",
+            "repro.lru",
+            "repro.pipelines",
+            "repro.client",
+        ):
+            assert not hygiene._is_upper(module), module
+
+    def test_gate_covers_core_and_baselines_only(self):
+        relative = {
+            path.relative_to(hygiene.SRC).as_posix() for path in hygiene.solver_files()
+        }
+        assert "repro/core/adaptive.py" in relative
+        assert "repro/core/batch_prepare.py" in relative
+        assert "repro/baselines/hyperbola.py" in relative
+        assert not any(
+            name.startswith(("repro/pipeline/", "repro/serve/")) for name in relative
+        )
+
+    def test_one_message_per_import_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hygiene, "REPO_ROOT", tmp_path)
+        offender = tmp_path / "shim.py"
+        offender.write_text(
+            "from repro.pipeline.contract import EstimationRequest, build_report\n"
+        )
+        messages = hygiene.check_solver_file(offender)
+        assert messages == [
+            "shim.py:1: imports 'repro.pipeline.contract'; core and baselines "
+            "may import only the layers below them"
+        ]
 
 
 class TestStreamLayering:

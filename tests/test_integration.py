@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.baselines.hologram import DifferentialHologram
-from repro.baselines.hyperbola import locate_hyperbola
 from repro.core.adaptive import ParameterGrid
 from repro.core.calibration import calibrate_antenna, relative_phase_offsets
 from repro.core.localizer import LionLocalizer
 from repro.datasets.synthetic import simulate_scan
+from repro.pipeline import EstimationRequest, estimate
 from repro.rf.antenna import Antenna
 from repro.rf.noise import GaussianPhaseNoise
 from repro.rf.tag import Tag
@@ -97,8 +97,13 @@ class TestMethodsAgree:
         lion = LionLocalizer(dim=2, interval_m=0.3).locate(scan.positions, scan.phases)
         assert np.linalg.norm(lion.position - truth) < 0.01
 
-        hyperbola = locate_hyperbola(
-            scan.positions[:, :2], scan.phases, initial_guess=np.array([0.0, 0.5])
+        hyperbola = estimate(
+            "hyperbola",
+            EstimationRequest(
+                positions=scan.positions[:, :2],
+                phases_rad=scan.phases,
+                initial_guess=np.array([0.0, 0.5]),
+            ),
         )
         assert np.linalg.norm(hyperbola.position - truth) < 0.01
 

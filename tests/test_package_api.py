@@ -76,12 +76,32 @@ class TestExports:
             "simulate_scan",
             "ThreeLineScan",
             "OnlineLionLocalizer",
-            "locate_multireference",
             "EstimationRequest",
             "estimate",
             "create_estimator",
         ):
             assert name in repro.__all__
+
+
+class TestOneEntryPointPerMethod:
+    """A solver's ``_<name>_impl`` is reached only through the registry."""
+
+    def test_no_public_twin_of_any_impl(self):
+        twins = set()
+        for package in (repro.core, repro.baselines):
+            for info in pkgutil.iter_modules(package.__path__, prefix=package.__name__ + "."):
+                module = importlib.import_module(info.name)
+                for name in vars(module):
+                    if not (name.startswith("_") and name.endswith("_impl")):
+                        continue
+                    public = name[1 : -len("_impl")]
+                    twins.add(public)
+                    for namespace in (module, repro, repro.core, repro.baselines):
+                        assert not hasattr(namespace, public), (
+                            f"{namespace.__name__}.{public} is a second entry point"
+                        )
+        # adaptive, multiref, multiantenna, hyperbola, parabola, angle
+        assert len(twins) == 6
 
 
 class TestEstimatorRegistry:

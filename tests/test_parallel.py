@@ -1,8 +1,9 @@
 """Tests for repro.parallel and its integration into the evaluation stack.
 
 The load-bearing guarantee: parallelism never changes an answer. Every
-backend must produce bit-identical results for Monte-Carlo studies, the
-adaptive sweep, and the batched solver against their serial references.
+backend must produce bit-identical results for Monte-Carlo studies, and
+the batched solver and the adaptive sweep must match their serial
+references.
 
 Work functions used with the process backend live at module level so the
 pool can pickle them.
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
-from repro.core.adaptive import ParameterGrid, adaptive_localize
+from repro.core.adaptive import ParameterGrid, _adaptive_localize_impl
 from repro.core.localizer import LionLocalizer, PreprocessConfig
 from repro.core.system import LinearSystem
 from repro.core.solvers import (
@@ -32,6 +33,7 @@ from repro.parallel import (
     resolve_jobs,
     set_default_jobs,
 )
+from repro.pipeline import EstimationRequest, estimate_many
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -336,21 +338,21 @@ def _seed_reference_sweep(localizer, positions, phases, grid):
 class TestAdaptiveSweepBackends:
     @pytest.mark.parametrize("backend", ("thread", "process"))
     def test_backends_match_serial(self, backend):
-        target = np.array([0.05, 0.85])
-        positions, phases = _noisy_scan(target, seed=3)
-        localizer = LionLocalizer(dim=2)
-        serial = adaptive_localize(localizer, positions, phases)
-        parallel = adaptive_localize(
-            localizer, positions, phases, executor=backend, jobs=2
-        )
-        assert np.array_equal(serial.position, parallel.position)
-        assert serial.reference_distance_m == parallel.reference_distance_m
-        assert serial.selected == parallel.selected
-        assert len(serial.outcomes) == len(parallel.outcomes)
-        for ours, theirs in zip(serial.outcomes, parallel.outcomes):
-            assert ours.range_m == theirs.range_m
-            assert ours.interval_m == theirs.interval_m
-            assert np.array_equal(ours.result.position, theirs.result.position)
+        """Sweeps fan out one scan per worker through ``estimate_many``."""
+        requests = []
+        for seed in (3, 4, 5):
+            positions, phases = _noisy_scan(np.array([0.05, 0.85]), seed=seed)
+            requests.append(EstimationRequest(positions=positions, phases_rad=phases))
+        config = {"dim": 2, "ranges_m": (0.7, 0.9, 1.1), "intervals_m": (0.15, 0.25)}
+        serial = estimate_many("lion-adaptive", requests, config)
+        parallel = estimate_many("lion-adaptive", requests, config, executor=backend, jobs=2)
+        for ours, theirs in zip(serial, parallel):
+            assert np.array_equal(ours.position, theirs.position)
+            assert ours.reference_distance_m == theirs.reference_distance_m
+            assert ours.raw.selected == theirs.raw.selected
+            assert len(ours.raw.outcomes) == len(theirs.raw.outcomes)
+            for mine, ref in zip(ours.raw.outcomes, theirs.raw.outcomes):
+                assert np.array_equal(mine.result.position, ref.result.position)
 
     def test_matches_seed_implementation(self):
         """The hoisted-preprocessing sweep reproduces the per-cell pipeline."""
@@ -358,7 +360,7 @@ class TestAdaptiveSweepBackends:
         positions, phases = _noisy_scan(target, seed=5)
         grid = ParameterGrid(ranges_m=(0.7, 0.9, 1.1), intervals_m=(0.15, 0.25))
         localizer = LionLocalizer(dim=2, preprocess=PreprocessConfig(smoothing_window=9))
-        result = adaptive_localize(localizer, positions, phases, grid=grid)
+        result = _adaptive_localize_impl(localizer, positions, phases, grid=grid)
         reference = _seed_reference_sweep(localizer, positions, phases, grid)
         assert len(result.outcomes) == len(reference)
         for outcome, (range_m, interval_m, ref) in zip(result.outcomes, reference):

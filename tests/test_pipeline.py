@@ -2,8 +2,7 @@
 
 Covers the registry (name -> typed config -> estimator), the
 request/report contract, dict round-trips of every config class, the
-adapters' accuracy on synthetic scenes, the deprecation shims (warning
-fires, results stay identical), and the batch fan-out helper.
+adapters' accuracy on synthetic scenes, and the batch fan-out helper.
 """
 
 import dataclasses
@@ -93,6 +92,10 @@ class TestRegistry:
     def test_resolve_config_unknown_key(self):
         with pytest.raises(ValueError, match="unknown"):
             pipeline.resolve_config("lion", {"no_such_knob": 1})
+        # The sweep's removed executor options are unknown keys too.
+        for key, value in (("fused", True), ("executor", "thread"), ("jobs", 2)):
+            with pytest.raises(ValueError, match=f"unknown config keys .*'{key}'"):
+                pipeline.resolve_config("lion-adaptive", {key: value})
 
     def test_resolve_config_wrong_typed_class(self):
         with pytest.raises(TypeError, match="LionConfig"):
@@ -355,111 +358,6 @@ class TestLionStandardError:
         # The float32 kernel forms no covariance.
         single = execute_batch(estimator, requests, dtype="float32")
         assert [r.diagnostics["position_std_m"] for r in single] == [None, None]
-
-
-class TestDeprecationShims:
-    """Every legacy entry point warns and matches the registry's answer."""
-
-    def test_adaptive_localize(self):
-        from repro.core.adaptive import ParameterGrid, adaptive_localize
-        from repro.core.localizer import LionLocalizer
-
-        positions, phases = _linear_scene()
-        grid = ParameterGrid(ranges_m=(0.8, 1.0), intervals_m=(0.2, 0.25))
-        with pytest.warns(DeprecationWarning, match="lion-adaptive"):
-            legacy = adaptive_localize(
-                LionLocalizer(dim=2), positions, phases, grid=grid
-            )
-        report = pipeline.estimate(
-            "lion-adaptive",
-            pipeline.EstimationRequest(positions=positions, phases_rad=phases),
-            {"dim": 2, "ranges_m": (0.8, 1.0), "intervals_m": (0.2, 0.25)},
-        )
-        np.testing.assert_allclose(
-            legacy.best_outcome.result.position, report.position, atol=1e-12
-        )
-
-    def test_locate_multireference(self):
-        from repro.core.multiref import locate_multireference
-
-        positions, phases = _linear_scene(noise=0.0)
-        runs = np.repeat([0, 1], len(positions) // 2)
-        with pytest.warns(DeprecationWarning, match="lion-multiref"):
-            legacy = locate_multireference(positions, phases, runs, dim=2)
-        report = pipeline.estimate(
-            "lion-multiref",
-            pipeline.EstimationRequest(
-                positions=positions, phases_rad=phases, run_ids=runs
-            ),
-            {"dim": 2},
-        )
-        np.testing.assert_allclose(legacy.position, report.position, atol=1e-12)
-
-    def test_differential_hologram(self):
-        from repro.core.multiantenna import differential_hologram
-
-        centers, phases, offsets, bounds, _ = _multiantenna_scene()
-        with pytest.warns(DeprecationWarning, match="lion-multiantenna"):
-            legacy = differential_hologram(
-                centers, phases, bounds, grid_size_m=0.01,
-                offset_corrections_rad=offsets - offsets[0],
-            )
-        report = pipeline.estimate(
-            "lion-multiantenna",
-            pipeline.EstimationRequest(
-                positions=centers, phases_rad=phases, bounds=bounds,
-                offset_corrections_rad=offsets - offsets[0],
-            ),
-            {"grid_size_m": 0.01},
-        )
-        np.testing.assert_allclose(legacy.position, report.position, atol=1e-12)
-
-    def test_locate_hyperbola(self):
-        from repro.baselines.hyperbola import locate_hyperbola
-
-        positions, phases = _linear_scene()
-        with pytest.warns(DeprecationWarning, match="hyperbola"):
-            legacy = locate_hyperbola(positions, phases)
-        report = pipeline.estimate(
-            "hyperbola",
-            pipeline.EstimationRequest(positions=positions, phases_rad=phases),
-        )
-        np.testing.assert_allclose(legacy.position, report.position, atol=1e-12)
-
-    def test_locate_hyperbola_pairs_override_still_works(self):
-        from repro.baselines.hyperbola import locate_hyperbola
-
-        positions, phases = _linear_scene()
-        pairs = [(0, 60), (60, 120), (120, 199)]
-        with pytest.warns(DeprecationWarning):
-            result = locate_hyperbola(positions, phases, pairs=pairs)
-        assert np.all(np.isfinite(result.position))
-
-    def test_locate_parabola_2d(self):
-        from repro.baselines.parabola import locate_parabola_2d
-
-        positions, phases = _linear_scene()
-        with pytest.warns(DeprecationWarning, match="parabola"):
-            legacy = locate_parabola_2d(positions[:, 0], phases)
-        report = pipeline.estimate(
-            "parabola",
-            pipeline.EstimationRequest(positions=positions, phases_rad=phases),
-        )
-        np.testing.assert_allclose(legacy.position, report.position, atol=1e-12)
-
-    def test_locate_rotating_tag(self):
-        from repro.baselines.angle import locate_rotating_tag
-
-        angles, phases, radius, _ = _turntable_scene()
-        with pytest.warns(DeprecationWarning, match="angle"):
-            legacy = locate_rotating_tag(angles, phases, radius)
-        report = pipeline.estimate(
-            "angle",
-            pipeline.EstimationRequest(
-                angles_rad=angles, phases_rad=phases, radius_m=radius
-            ),
-        )
-        np.testing.assert_allclose(legacy.position, report.position, atol=1e-12)
 
 
 class TestEstimateMany:

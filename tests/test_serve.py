@@ -426,13 +426,19 @@ class TestConfigValidation:
             {"max_queue_depth": 0},
             {"max_batch_size": 0},
             {"cache_entries": -1},
-            {"scalar_executor": "process"},
+            {"dtype": "float16"},
             {"default_deadline_s": 0.0},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
+
+    @pytest.mark.parametrize("key", ["scalar_executor", "jobs"])
+    def test_removed_executor_keys_rejected(self, key):
+        # The scalar path runs serially; its executor options are gone.
+        with pytest.raises(TypeError, match=key):
+            ServeConfig(**{key: "thread" if key == "scalar_executor" else 2})
 
 
 class TestMapCatching:

@@ -11,6 +11,7 @@ fast; one process-mode test covers the spawn + shared-memory + metrics
 merge path end-to-end.
 """
 
+import asyncio
 import http.client
 import json
 import socket
@@ -27,6 +28,7 @@ from repro.serve.bench import build_requests
 from repro.serve.net import (
     BadRequestError,
     NetServeConfig,
+    NetServer,
     ServerHandle,
     WireRequest,
     WireResponse,
@@ -396,6 +398,85 @@ class TestBackpressure:
             assert body["retry_after_s"] == 0.25
 
 
+class _WatchedEvent(asyncio.Event):
+    """An ``asyncio.Event`` that reports when someone first waits on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.awaited = asyncio.Event()
+
+    async def wait(self):
+        self.awaited.set()
+        return await super().wait()
+
+
+async def _drain_race():
+    """Script three exchanges around ``shutdown()``.
+
+    A is in flight when the drain starts. B starts on a second
+    connection after A finishes but before ``shutdown()`` resumes. C's
+    request is read only after the drain has closed its connection. The
+    dispatch and the request reader are replaced, so the schedule is fixed
+    by the event loop's order alone: no timing is involved.
+
+    Returns:
+        The paths dispatched, and each connection's status line (empty
+        when the connection closed without an answer).
+    """
+    server = NetServer(_thread_config(shards=1))
+    server._idle = idle = _WatchedEvent()
+    idle.set()
+    a_dispatched, release_a = asyncio.Event(), asyncio.Event()
+    gates = {"/b": asyncio.Event(), "/c": asyncio.Event()}
+    dispatched = []
+    read_request = server._read_request
+
+    async def gated_read(reader):
+        parsed = await read_request(reader)
+        if parsed is not None and parsed[1] in gates:
+            await gates[parsed[1]].wait()
+        return parsed
+
+    async def scripted_dispatch(method, path, headers, body):
+        dispatched.append(path)
+        if path == "/a":
+            a_dispatched.set()
+            await release_a.wait()
+            # B's exchange becomes runnable before A's marks the server
+            # idle, so B starts before shutdown() resumes.
+            gates["/b"].set()
+        elif path == "/b":
+            # Yield the loop long enough for shutdown() to run past its
+            # wait while B's answer is still owed.
+            for _ in range(20):
+                await asyncio.sleep(0)
+        return 200, {"path": path}, None
+
+    server._read_request = gated_read
+    server._dispatch = scripted_dispatch
+    await server.start()
+    streams = {
+        path: await asyncio.open_connection("127.0.0.1", server.port) for path in ("/a", "/b", "/c")
+    }
+    for path, (_, writer) in streams.items():
+        writer.write(f"POST {path} HTTP/1.1\r\nContent-Length: 0\r\n\r\n".encode())
+    # The timeouts only keep a broken server from hanging the suite.
+    await asyncio.wait_for(a_dispatched.wait(), 30.0)
+    shutdown = asyncio.create_task(server.shutdown())
+    await asyncio.wait_for(idle.awaited.wait(), 30.0)
+    release_a.set()
+    await shutdown
+    gates["/c"].set()
+    for _ in range(1000):  # bounded, so a stuck handler cannot hang the test
+        if not server._connections:
+            break
+        await asyncio.sleep(0)
+    answers = {path: (await reader.read())[:12] for path, (reader, _) in streams.items()}
+    for _, writer in streams.values():
+        writer.close()
+    return dispatched, answers
+
+
 class TestGracefulDrain:
     def test_readyz_flips_before_listener_closes(self):
         with ServerHandle(_thread_config(shards=1, drain_grace_s=1.0)) as handle:
@@ -464,6 +545,19 @@ class TestGracefulDrain:
             # shard drained clean (no batcher thread abandoned mid-batch).
             assert completed == ok
             assert all(entry["drained_clean"] for entry in stats)
+
+    def test_drain_answers_an_exchange_started_as_the_server_went_idle(self):
+        """Deterministic replay of a drain race that lost accepted answers.
+
+        Exchange A finishes while ``shutdown()`` waits for the server to go
+        idle, and exchange B starts on a second connection before
+        ``shutdown()`` resumes. B reached dispatch, so it must get its
+        answer before its connection closes. C's request is read after
+        the drain closed its connection, so it must never be dispatched.
+        """
+        dispatched, answers = asyncio.run(_drain_race())
+        assert dispatched == ["/a", "/b"]
+        assert answers == {"/a": b"HTTP/1.1 200", "/b": b"HTTP/1.1 200", "/c": b""}
 
     def test_stop_is_idempotent(self):
         handle = ServerHandle(_thread_config(shards=1))

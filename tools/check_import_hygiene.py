@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
-"""Import-hygiene gates for the serving, streaming, and calibration layers.
+"""Import-hygiene gates for the solver, serving, streaming, and calibration layers.
 
-Three rules, all checked by AST walk (so lazy in-function imports count
+Four rules, all checked by AST walk (so lazy in-function imports count
 too), runnable standalone on the source tree — no package install
 needed::
 
     python tools/check_import_hygiene.py
+
+**Downward only.** The solvers sit below everything that serves them.
+No file under ``src/repro/core/`` or ``src/repro/baselines/`` may import
+``repro.pipeline``, ``repro.serve``, ``repro.stream``, ``repro.calib``,
+``repro.experiments`` or ``repro.cli`` — not at module level, not
+lazily inside a function, and not as ``from repro import pipeline``.
 
 **Registry dispatch.** The experiment harness and the CLI must dispatch
 estimation through the :mod:`repro.pipeline` registry — never by
@@ -43,10 +49,22 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
+
+#: directories (relative to src/) whose files the downward-only rule gates.
+SOLVER_DIRS = ("repro/core", "repro/baselines")
+#: the layers above the solvers, which files under SOLVER_DIRS may never import.
+UPPER_PREFIXES = (
+    "repro.pipeline",
+    "repro.serve",
+    "repro.stream",
+    "repro.calib",
+    "repro.experiments",
+    "repro.cli",
+)
 
 #: import prefixes that registry-dispatch-gated files may never use.
 FORBIDDEN_PREFIXES = ("repro.baselines", "repro.core")
@@ -66,6 +84,18 @@ CALIB_PREFIX = "repro.calib"
 CALIB_ALLOWED_DIRS = ("repro/calib", "repro/serve")
 #: single files (relative to src/) that may import repro.calib.
 CALIB_ALLOWED_FILES = ("repro/cli.py",)
+
+
+def solver_files() -> List[Path]:
+    """The files the downward-only rule applies to."""
+    files: List[Path] = []
+    for directory in SOLVER_DIRS:
+        files.extend(sorted((SRC / directory).rglob("*.py")))
+    return files
+
+
+def _is_upper(module: str) -> bool:
+    return any(module == prefix or module.startswith(prefix + ".") for prefix in UPPER_PREFIXES)
 
 
 def gated_files() -> List[Path]:
@@ -123,54 +153,65 @@ def _is_calib(module: str) -> bool:
 
 
 def _imported_modules(tree: ast.AST) -> Iterator[Tuple[int, str]]:
-    """Every ``(lineno, module)`` imported anywhere in the tree."""
+    """Every ``(lineno, module)`` imported anywhere in the tree.
+
+    ``from a import b`` yields both ``a`` and ``a.b``: ``b`` may be a
+    submodule (``from repro import pipeline``).
+    """
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name
         elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
             yield node.lineno, node.module
+            for alias in node.names:
+                yield node.lineno, f"{node.module}.{alias.name}"
+
+
+def _violations(path: Path, is_bad: Callable[[str], bool], advice: str) -> List[str]:
+    """One message per import line of ``path`` that ``is_bad`` flags."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    relative = path.relative_to(REPO_ROOT)
+    flagged: Dict[int, str] = {}
+    for lineno, module in _imported_modules(tree):
+        if is_bad(module):
+            flagged.setdefault(lineno, module)
+    return [
+        f"{relative}:{lineno}: imports {module!r}; {advice}"
+        for lineno, module in sorted(flagged.items())
+    ]
+
+
+def check_solver_file(path: Path) -> List[str]:
+    """Downward-only violation messages for one file (empty when clean)."""
+    return _violations(path, _is_upper, "core and baselines may import only the layers below them")
 
 
 def check_file(path: Path) -> List[str]:
     """Registry-dispatch violation messages for one file (empty when clean)."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    relative = path.relative_to(REPO_ROOT)
-    return [
-        f"{relative}:{lineno}: imports {module!r}; dispatch through "
-        "repro.pipeline instead"
-        for lineno, module in _imported_modules(tree)
-        if _is_forbidden(module)
-    ]
+    return _violations(path, _is_forbidden, "dispatch through repro.pipeline instead")
 
 
 def check_stream_file(path: Path) -> List[str]:
     """Stream-layering violation messages for one file (empty when clean)."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    relative = path.relative_to(REPO_ROOT)
-    return [
-        f"{relative}:{lineno}: imports {module!r}; only repro.serve.net "
-        "and the CLI may import the session layer"
-        for lineno, module in _imported_modules(tree)
-        if _is_stream(module)
-    ]
+    return _violations(
+        path, _is_stream, "only repro.serve.net and the CLI may import the session layer"
+    )
 
 
 def check_calib_file(path: Path) -> List[str]:
     """Calibration-layering violation messages for one file (empty when clean)."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    relative = path.relative_to(REPO_ROOT)
-    return [
-        f"{relative}:{lineno}: imports {module!r}; only repro.serve "
-        "and the CLI may import the calibration registry"
-        for lineno, module in _imported_modules(tree)
-        if _is_calib(module)
-    ]
+    return _violations(
+        path, _is_calib, "only repro.serve and the CLI may import the calibration registry"
+    )
 
 
 def main() -> int:
-    """Run all three gates over their file sets; 0 when clean."""
+    """Run all four gates over their file sets; 0 when clean."""
     violations: List[str] = []
+    solver = solver_files()
+    for path in solver:
+        violations.extend(check_solver_file(path))
     for path in gated_files():
         violations.extend(check_file(path))
     stream_files = stream_gated_files()
@@ -185,7 +226,7 @@ def main() -> int:
             print(f"  {message}")
         return 1
     print(
-        f"import hygiene OK ({len(gated_files())} dispatch-gated, "
+        f"import hygiene OK ({len(solver)} solver, {len(gated_files())} dispatch-gated, "
         f"{len(stream_files)} stream-gated, {len(calib_files)} "
         "calib-gated files checked)"
     )

@@ -16,7 +16,6 @@ from repro.core.weights import gaussian_residual_weights, huber_weights
 from repro.datasets.synthetic import simulate_scan
 from repro.rf.antenna import Antenna
 from repro.rf.noise import BurstyPhaseNoise, SnrScaledPhaseNoise
-from repro.signalproc.unwrap import unwrap_phase
 from repro.trajectory.linear import LinearTrajectory
 
 

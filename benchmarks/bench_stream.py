@@ -7,8 +7,7 @@ fast RLS path and periodic windowed re-solves — and records sustained
 reads/second plus p50/p99 per-chunk update latency per session count.
 A sample of sessions is then verified **bit-identical**: the replayed
 stream's final windowed re-solve must equal a one-shot batch estimate
-over the same window, the end-to-end form of the incremental-assembly
-identity ``repro.core.incremental`` guarantees.
+over the same window.
 
 CI runs the quick sizing on every PR and gates
 ``sessions.1000.reads_per_sec`` against

@@ -28,7 +28,7 @@ from repro.calib.errors import (
     VersionConflictError,
 )
 from repro.calib.records import KNOWN_SOURCES, CalibrationRecord
-from repro.calib.resolver import CalibrationResolver, resolver_stats
+from repro.calib.resolver import CalibrationResolver
 from repro.calib.scheduler import (
     CalibrationOutcome,
     CalibrationTask,
@@ -66,6 +66,5 @@ __all__ = [
     "UnknownAntennaError",
     "VersionConflictError",
     "fleet_scan_source",
-    "resolver_stats",
     "solve_calibration_task",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -123,10 +123,3 @@ class CalibrationResolver:
     def invalidate(self) -> None:
         """Drop every cached entry (tests, manual store surgery)."""
         self._cache.discard(lambda _key: True)
-
-
-def resolver_stats(resolver: Optional[CalibrationResolver]) -> Dict[str, Any]:
-    """``stats()`` of a maybe-absent resolver, JSON-safe."""
-    if resolver is None:
-        return {"enabled": False}
-    return {"enabled": True, **resolver.stats()}

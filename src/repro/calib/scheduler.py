@@ -26,7 +26,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.calib.errors import VersionConflictError
-from repro.calib.records import CalibrationRecord
 from repro.calib.staleness import DriftMonitor
 from repro.calib.store import CalibrationStore
 from repro.constants import DEFAULT_WAVELENGTH_M

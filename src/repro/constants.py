@@ -20,18 +20,12 @@ DEFAULT_FREQUENCY_HZ = 920.625e6
 #: Default carrier wavelength, meters (~32.6 cm at 920.625 MHz).
 DEFAULT_WAVELENGTH_M = SPEED_OF_LIGHT / DEFAULT_FREQUENCY_HZ
 
-#: Default reader transmission power, dBm (paper Sec. V-A).
-DEFAULT_TX_POWER_DBM = 32.0
-
 #: Default tag read (sampling) rate, hertz. The paper reports that a single
 #: tag can be sampled at over 100 Hz (Sec. IV-A1).
 DEFAULT_READ_RATE_HZ = 120.0
 
 #: Default tag movement speed on the sliding track, meters per second.
 DEFAULT_TAG_SPEED_MPS = 0.10
-
-#: Length of the linear sliding track used in the evaluation, meters.
-DEFAULT_TRACK_LENGTH_M = 2.5
 
 #: Standard deviation of the Gaussian phase noise used in the paper's own
 #: simulations (Sec. III-A), radians.

@@ -77,7 +77,6 @@ from repro.core.multiref import (
     build_multireference_system,
     solve_multireference,
 )
-from repro.core.incremental import IncrementalScanAssembler, unwrap_correction
 from repro.core.online import OnlineEstimate, OnlineLionLocalizer
 from repro.core.pairgraph import PairingDiagnostics, analyze_pairing, component_runs
 from repro.core.uncertainty import (
@@ -139,8 +138,6 @@ __all__ = [
     "build_multireference_system",
     "solve_multireference",
     "OnlineLionLocalizer",
-    "IncrementalScanAssembler",
-    "unwrap_correction",
     "OnlineEstimate",
     "PairingDiagnostics",
     "analyze_pairing",

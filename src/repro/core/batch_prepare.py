@@ -104,7 +104,7 @@ def clear_template_cache() -> None:
 
 
 def _segment_runs(segment_ids: Optional[np.ndarray], n: int) -> List[np.ndarray]:
-    """The per-segment index runs the scalar ``smooth_profile`` iterates."""
+    """The per-segment index runs the scalar ``preprocess_phase`` smooths over."""
     if segment_ids is None:
         return [np.arange(n)]
     ids = np.asarray(segment_ids, dtype=int)

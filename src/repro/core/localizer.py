@@ -228,21 +228,6 @@ class LionLocalizer:
             np.asarray(wrapped_phase_rad, dtype=float),
             self.preprocess.jump_threshold_rad,
         )
-        return self.smooth_profile(profile, segment_ids)
-
-    def smooth_profile(
-        self,
-        profile: np.ndarray,
-        segment_ids: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Smoothing half of :meth:`preprocess_phase`, on an unwrapped profile.
-
-        Split out so streaming callers that maintain the unwrap
-        incrementally (:class:`repro.core.incremental.IncrementalScanAssembler`)
-        can apply exactly the batch outlier-rejection and moving-average
-        treatment to a reconstructed window profile. Mutates and returns
-        ``profile`` in place (callers pass a fresh copy).
-        """
         if segment_ids is None:
             runs = [np.arange(profile.shape[0])]
         else:

@@ -15,7 +15,7 @@ identical data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 import numpy as np

@@ -16,11 +16,10 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro import pipeline
 from repro.obs import (
     collect_manifest,
     get_registry,
@@ -32,14 +31,6 @@ from repro.parallel import Executor, get_executor
 
 #: A trial returns one or more named scalar outcomes (e.g. per-method errors).
 TrialFunction = Callable[[np.random.Generator], Dict[str, float]]
-
-#: A workload draws one scene: the shared request plus the ground truth.
-WorkloadFunction = Callable[
-    [np.random.Generator], Tuple[pipeline.EstimationRequest, np.ndarray]
-]
-
-#: One comparison entry: a registry name, or ``(name, config_dict)``.
-EstimatorEntry = Union[str, Tuple[str, Union[Mapping[str, object], None]]]
 
 
 @dataclass(frozen=True)
@@ -252,77 +243,6 @@ def run_monte_carlo(
     return MonteCarloResult(
         summaries=summaries, trials=trials, manifest=manifest.to_dict(), timing=timing
     )
-
-
-def _estimator_comparison_trial(
-    setups: List[Tuple[str, str, Dict[str, object]]],
-    workload: WorkloadFunction,
-    rng: np.random.Generator,
-) -> Dict[str, float]:
-    """One paired trial: draw a scene, run every estimator on it.
-
-    Module-level so the process backend can pickle it (the workload must
-    itself be module-level for that backend). The error is the Euclidean
-    distance over the axes the method estimates, so 2D methods compare
-    fairly against a 3D truth.
-    """
-    request, truth = workload(rng)
-    truth = np.asarray(truth, dtype=float)
-    outcomes: Dict[str, float] = {}
-    for label, name, payload in setups:
-        report = pipeline.estimate(name, request, payload)
-        dim = min(report.position.size, truth.size)
-        outcomes[label] = float(np.linalg.norm(report.position[:dim] - truth[:dim]))
-    return outcomes
-
-
-def run_estimator_comparison(
-    estimators: Union[Mapping[str, EstimatorEntry], Sequence[str]],
-    workload: WorkloadFunction,
-    trials: int,
-    seed: int = 0,
-    **monte_carlo_kwargs: object,
-) -> MonteCarloResult:
-    """Compare registered estimators on identical randomized scenes.
-
-    Every trial draws one scene through ``workload`` and replays the same
-    :class:`repro.pipeline.EstimationRequest` through each estimator, so
-    the per-method error metrics are *paired* and feed straight into
-    :func:`compare_methods`. Methods are resolved through the
-    :mod:`repro.pipeline` registry by name — this harness never imports a
-    solver directly.
-
-    Args:
-        estimators: either a sequence of registry names (each name is its
-            own metric label), or a mapping of label -> name or
-            ``(name, config_dict)``. Configs are validated up front via
-            :func:`repro.pipeline.resolve_config`, so a typo'd key fails
-            before any trial runs.
-        workload: draws one scene per trial from the trial's generator and
-            returns ``(request, truth_position)``. Must be module-level
-            for the process backend.
-        trials: number of paired repetitions.
-        seed: base seed (trial ``k`` uses ``default_rng(seed + k)``).
-        **monte_carlo_kwargs: forwarded to :func:`run_monte_carlo`
-            (``executor=``, ``jobs=``, ``confidence=``, ...).
-
-    Raises:
-        KeyError: for an unknown estimator name.
-        ValueError: for invalid config keys, an empty estimator set, or
-            the :func:`run_monte_carlo` argument errors.
-    """
-    if isinstance(estimators, Mapping):
-        entries = list(estimators.items())
-    else:
-        entries = [(name, name) for name in estimators]
-    if not entries:
-        raise ValueError("estimators must name at least one registered method")
-    setups: List[Tuple[str, str, Dict[str, object]]] = []
-    for label, entry in entries:
-        name, config = entry if isinstance(entry, tuple) else (entry, None)
-        setups.append((label, name, pipeline.resolve_config(name, config).to_dict()))
-    trial = functools.partial(_estimator_comparison_trial, setups, workload)
-    return run_monte_carlo(trial, trials, seed=seed, **monte_carlo_kwargs)
 
 
 def compare_methods(

@@ -141,9 +141,9 @@ class ServeConfig:
             those caches. Off by default, so lone requests stay
             cache-independent. Turn it on for tracing-focused
             deployments (every batchable request produces a
-            ``serve.batch`` span), for repeat-geometry traffic such as
-            streaming windowed re-solves, and for ``dtype="float32"``
-            engines, where the single-precision kernel adds to the gain.
+            ``serve.batch`` span), for repeat-geometry traffic, and for
+            ``dtype="float32"`` engines, where the single-precision
+            kernel adds to the gain.
         dtype: numeric precision of the fused batch path. ``"float64"``
             (default) is bit-identical to the scalar estimator;
             ``"float32"`` runs batched preprocess, assembly, and the
@@ -232,7 +232,6 @@ class _Item:
     enqueued: float
     deadline: Optional[float]
     request_id: Optional[str] = None
-    session_key: Optional[str] = None
 
 
 @dataclass
@@ -250,8 +249,6 @@ class _Stats:
     batched_requests: int = 0
     scalar_requests: int = 0
     scalar_fallbacks: int = 0
-    session_requests: int = 0
-    session_holds: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -266,8 +263,6 @@ class _Stats:
             "batched_requests": self.batched_requests,
             "scalar_requests": self.scalar_requests,
             "scalar_fallbacks": self.scalar_fallbacks,
-            "session_requests": self.session_requests,
-            "session_holds": self.session_holds,
         }
 
 
@@ -301,7 +296,6 @@ class ServeEngine:
         self._cv = threading.Condition()
         self._closed = False
         self._stats = _Stats()
-        self._session_inflight: Dict[str, int] = {}
         self._cache = ResultCache(self.config.cache_entries)
         # (name, config-object) -> (resolved config, config hash). Config
         # resolution + fingerprinting are pure, and serving traffic reuses
@@ -345,7 +339,6 @@ class ServeEngine:
         config: EstimatorConfig | Mapping[str, Any] | None = None,
         deadline_s: Optional[float] = None,
         request_id: Optional[str] = None,
-        session_key: Optional[str] = None,
     ) -> Ticket:
         """Admit one request; returns immediately with its :class:`Ticket`.
 
@@ -357,17 +350,6 @@ class ServeEngine:
         spans, a ``request_ids`` link list on fused batch spans — so the
         cross-process span store can stitch them into one trace, and it
         is bound to the logging context during dispatch.
-
-        ``session_key`` (optional, from the streaming session layer)
-        makes admission *session-affine*: requests sharing a key are
-        dispatched in submission order, never reordered across dispatch
-        groups — a later re-solve for one tag session cannot overtake an
-        earlier one that is still queued under a different
-        ``(estimator, config, dim)`` group. Grouping itself is
-        unchanged, so concurrent sessions' re-solves still fuse into one
-        stacked IRLS per group; a result-cache hit (identical window
-        re-solved twice) resolves instantly, which cannot reorder — the
-        answer is content-determined.
 
         Raises:
             EngineClosedError: the engine no longer admits requests.
@@ -424,7 +406,6 @@ class ServeEngine:
             enqueued=now,
             deadline=now + deadline_s if deadline_s is not None else None,
             request_id=request_id,
-            session_key=session_key,
         )
         with self._cv:
             if self._closed:
@@ -437,34 +418,11 @@ class ServeEngine:
                 )
             self._queue.append(item)
             self._stats.submitted += 1
-            if session_key is not None:
-                self._stats.session_requests += 1
-                self._session_inflight[session_key] = (
-                    self._session_inflight.get(session_key, 0) + 1
-                )
             depth = len(self._queue)
             self._cv.notify_all()
-        if session_key is not None:
-            future.add_done_callback(
-                lambda _future, key=session_key: self._session_done(key)
-            )
         if metrics_enabled():
             get_registry().gauge("serve.queue_depth").set(depth)
         return Ticket(future)
-
-    def _session_done(self, key: str) -> None:
-        """Drop one inflight count for ``key`` when its future resolves."""
-        with self._cv:
-            count = self._session_inflight.get(key, 0) - 1
-            if count <= 0:
-                self._session_inflight.pop(key, None)
-            else:
-                self._session_inflight[key] = count
-
-    def session_inflight(self, key: str) -> int:
-        """Unresolved requests currently admitted under ``key``."""
-        with self._cv:
-            return self._session_inflight.get(key, 0)
 
     def estimate(
         self,
@@ -534,7 +492,6 @@ class ServeEngine:
         with self._cv:
             payload: Dict[str, Any] = self._stats.as_dict()
             payload["queue_depth"] = len(self._queue)
-            payload["sessions_inflight"] = len(self._session_inflight)
         payload["cache"] = self._cache.info()
         payload["template_cache"] = _with_hit_rate(template_cache_info())
         payload["pair_cache"] = _with_hit_rate(pair_cache_info())
@@ -586,29 +543,11 @@ class ServeEngine:
             head = self._queue[0]
             group: List[_Item] = []
             kept: List[_Item] = []
-            # Session affinity: once a session's request is passed over
-            # (different group), its later requests must not jump ahead
-            # of it into this dispatch — reads of one session never
-            # interleave out of submission order.
-            held_sessions: set[str] = set()
-            session_holds = 0
             for item in self._queue:
-                blocked = (
-                    item.session_key is not None and item.session_key in held_sessions
-                )
-                if (
-                    item.key == head.key
-                    and len(group) < self.config.max_batch_size
-                    and not blocked
-                ):
+                if item.key == head.key and len(group) < self.config.max_batch_size:
                     group.append(item)
                 else:
-                    if item.session_key is not None:
-                        if blocked and item.key == head.key:
-                            session_holds += 1
-                        held_sessions.add(item.session_key)
                     kept.append(item)
-            self._stats.session_holds += session_holds
             self._queue = deque(kept)
             depth = len(self._queue)
         if metrics_enabled():

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
-from repro.signalproc.wrapping import phase_from_distance, wrap_to_pi
+from repro.signalproc.wrapping import wrap_to_pi
 
 
 def unwrap_phase(wrapped_rad: np.ndarray, jump_threshold_rad: float = np.pi) -> np.ndarray:

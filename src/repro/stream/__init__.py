@@ -1,4 +1,4 @@
-"""Streaming session layer: per-tag read streams, incremental solves, events.
+"""Streaming session layer: per-tag read streams, windowed re-solves, events.
 
 The one-shot request path (``locate`` → ``EstimationRequest`` →
 ``ServeEngine.submit`` → ``POST /v1/locate``) assumes a complete scan;
@@ -8,23 +8,23 @@ stack around that reality:
 - :class:`TagSession` — a per-``(tag, antenna)`` state machine
   (warming → tracking → settled → departed) holding a bounded sliding
   window of timestamped reads, an incremental fast path
-  (``lion-online`` RLS), and periodic windowed re-solves that are
-  **bit-identical** to a one-shot ``locate`` over the same window
-  (via :class:`repro.core.incremental.IncrementalScanAssembler`).
+  (``lion-online`` RLS), and periodic windowed re-solves, each the
+  session estimator's ``estimate()`` on the window and so
+  **bit-identical** to a one-shot estimate of the same window.
 - :class:`SessionManager` — owns the live sessions: capacity shedding,
   per-session serialization, departure sweeps, session-aware drain, and
-  re-solve routing (direct, or fused across sessions through a
-  :class:`repro.serve.ServeEngine` with session-affine admission).
+  the re-solve counters.
 - typed lifecycle events (:class:`TagEntered`, :class:`PositionUpdated`,
   :class:`TagSettled`, :class:`TagDeparted`,
   :class:`CalibrationDriftAlarm`) fanned out on an :class:`EventBus`.
 - offline replay (:func:`replay_stream` / :func:`replay_records`) of
   recorded scans at wall-clock or max speed — ``lion replay``.
 
-Layering: this package may import ``repro.core`` / ``repro.pipeline`` /
-``repro.serve``; only ``repro.serve.net`` and the CLI may import it back
-(enforced by ``tools/check_import_hygiene.py``). The HTTP surface lives
-in :mod:`repro.serve.net.sessions`; see ``docs/serving.md``.
+Layering: this package may import ``repro.core`` and ``repro.pipeline``
+but not ``repro.serve``; only ``repro.serve.net`` and the CLI may import
+it back (both enforced by ``tools/check_import_hygiene.py``). The HTTP
+surface lives in :mod:`repro.serve.net.sessions`; see
+``docs/serving.md``.
 """
 
 from repro.stream.config import StreamConfig
@@ -36,7 +36,6 @@ from repro.stream.errors import (
     UnknownSessionError,
 )
 from repro.stream.events import (
-    EVENT_KINDS,
     CalibrationDriftAlarm,
     EventBus,
     PositionUpdated,
@@ -66,7 +65,6 @@ __all__ = [
     "TagDeparted",
     "CalibrationDriftAlarm",
     "EventBus",
-    "EVENT_KINDS",
     # sessions
     "TagSession",
     "SessionState",

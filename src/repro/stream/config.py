@@ -17,9 +17,8 @@ class StreamConfig:
     """Knobs of one tag session.
 
     Attributes:
-        estimator: registry name of the windowed re-solve method
-            (``"lion"`` rides the fused incremental assembler; other
-            names fall back to batch estimation over the window).
+        estimator: registry name of the windowed re-solve method; each
+            re-solve is its ``estimate()`` on the window's raw reads.
         estimator_config: dict config for that estimator (``None`` for
             defaults), as accepted by ``repro.pipeline.resolve_config``.
         max_window_reads: sliding-window bound in reads.

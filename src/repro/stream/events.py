@@ -136,15 +136,6 @@ class CalibrationDriftAlarm(SessionEvent):
     windowed_position: Position = ()
 
 
-#: Every concrete event kind, for subscribers and wire validation.
-EVENT_KINDS: Tuple[str, ...] = (
-    TagEntered.kind,
-    PositionUpdated.kind,
-    TagSettled.kind,
-    TagDeparted.kind,
-    CalibrationDriftAlarm.kind,
-)
-
 Subscriber = Callable[[SessionEvent], None]
 
 

@@ -1,14 +1,12 @@
 """The session manager: capacity, feeding, re-solves, sweeps, drain.
 
 :class:`SessionManager` owns every live :class:`TagSession`, serializes
-access per session (one lock per session — the ordering half of session
-affinity), enforces a global capacity
+access per session (one lock per session, so a session's reads and
+re-solves apply in feed order), enforces a global capacity
 (:class:`~repro.stream.errors.SessionCapacityError` → HTTP 429), runs
-the departure sweep (:meth:`poll`), and routes windowed re-solves either
-directly through the session or — when constructed with a
-:class:`repro.serve.ServeEngine` — through the engine's session-affine
-admission, where concurrent sessions' re-solves fuse into one stacked
-IRLS per ``(estimator, config, dim)`` group.
+the departure sweep (:meth:`poll`), and runs each windowed re-solve —
+periodic, on close and on drain — on the thread that triggers it,
+counting attempts and failures in :meth:`stats`.
 
 Every event flows through one :class:`~repro.stream.events.EventBus`;
 ``serve.stream.*`` metrics ride the usual :mod:`repro.obs` flag guards.
@@ -19,13 +17,10 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs import LATENCY_BUCKETS_S, get_logger, get_registry, metrics_enabled, span, tracing_enabled
-from repro.pipeline.contract import EstimationReport
-from repro.serve.engine import ServeEngine
+from repro.obs import get_logger, get_registry, metrics_enabled, span, tracing_enabled
 from repro.stream.config import StreamConfig
 from repro.stream.errors import (
     DuplicateSessionError,
@@ -61,12 +56,8 @@ class FeedResult:
 
 @dataclass
 class _Entry:
-    """One managed session plus its serialization lock.
-
-    The lock is reentrant: an engine re-solve that resolves inline
-    (result-cache hit) invokes its completion callback on the feeding
-    thread while the feed still holds the lock.
-    """
+    """One managed session plus the lock that serializes its reads,
+    re-solves and departure."""
 
     session: TagSession
     lock: threading.RLock = field(default_factory=threading.RLock)
@@ -79,9 +70,6 @@ class SessionManager:
         defaults: the :class:`StreamConfig` applied to sessions opened
             without an explicit one.
         max_sessions: live-session capacity; opens beyond it shed load.
-        engine: route windowed re-solves through this serving engine
-            (session-affine, cross-session fused batching). ``None``
-            re-solves directly on the feeding thread.
         bus: event bus to publish on (one is created when omitted).
         clock: monotonic idle clock, injectable for tests.
     """
@@ -90,7 +78,6 @@ class SessionManager:
         self,
         defaults: Optional[StreamConfig] = None,
         max_sessions: int = 1024,
-        engine: Optional[ServeEngine] = None,
         bus: Optional[EventBus] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -98,7 +85,6 @@ class SessionManager:
             raise ValueError("max_sessions must be positive")
         self.defaults = defaults or StreamConfig()
         self.max_sessions = int(max_sessions)
-        self.engine = engine
         self.bus = bus or EventBus()
         self._clock = clock
         self._lock = threading.Lock()
@@ -110,7 +96,6 @@ class SessionManager:
         self._reads_total = 0
         self._events_total = 0
         self._resolves_direct = 0
-        self._resolves_engine = 0
         self._resolve_errors = 0
 
     # ------------------------------------------------------------------
@@ -187,9 +172,7 @@ class SessionManager:
                 entry.session.state is not SessionState.DEPARTED
                 and entry.session.window_size() >= entry.session.config.min_window_reads
             ):
-                events.extend(entry.session.resolve_windowed())
-                with self._lock:
-                    self._resolves_direct += 1
+                events.extend(self._resolve(entry.session))
             events.extend(entry.session.depart(reason))
             snapshot_state = entry.session.state.value
             estimate = entry.session.last_estimate
@@ -210,10 +193,9 @@ class SessionManager:
         """Feed a chunk of ``(timestamp_s, position, phase)`` reads.
 
         Reads of one session are serialized under its lock and applied
-        in chunk order — combined with the engine's session-affine
-        admission, a session's estimates can never observe its reads out
-        of order. Returns the triggered events (also published on the
-        bus).
+        in chunk order, and a due re-solve runs under the same lock, so a
+        session's estimates never observe its reads out of order. Returns
+        the triggered events (also published on the bus).
 
         Raises:
             UnknownSessionError: for an unknown id.
@@ -230,7 +212,7 @@ class SessionManager:
                 accepted += 1
             session.last_activity_s = self._clock()
             if session.needs_resolve():
-                events.extend(self._schedule_resolve(entry))
+                events.extend(self._resolve(session))
             state = session.state.value
             estimate = session.last_estimate
         with self._lock:
@@ -246,60 +228,32 @@ class SessionManager:
             estimate=estimate,
         )
 
-    def _schedule_resolve(self, entry: _Entry) -> List[SessionEvent]:
-        """Run (or dispatch) one windowed re-solve. Caller holds the lock."""
-        session = entry.session
-        if self.engine is None:
+    def _resolve(self, session: TagSession) -> List[SessionEvent]:
+        """One windowed re-solve of ``session``; the caller holds its lock.
+
+        A window that cannot solve is skipped and counted in
+        ``resolve_errors``; the fast path keeps serving estimates.
+        """
+        failed = False
+        try:
             if not tracing_enabled():
                 events = session.resolve_windowed()
             else:
-                with span("stream.resolve", session=session.session_id, mode="direct"):
+                with span("stream.resolve", session=session.session_id):
                     events = session.resolve_windowed()
-            with self._lock:
-                self._resolves_direct += 1
-            self._observe_resolve("direct")
-            return events
-
-        name, config, request = session.build_resolve_request()
-        session.mark_resolve_pending()
-        started = time.perf_counter()
-        try:
-            ticket = self.engine.submit(
-                name,
-                request,
-                config=config,
-                session_key=session.session_id,
-                request_id=f"stream-{session.session_id}",
+        except ValueError as error:
+            events, failed = [], True
+            _logger.debug(
+                "windowed re-solve failed: session=%s error=%s",
+                session.session_id,
+                error,
             )
-        except Exception:
-            session.resolve_failed()
-            with self._lock:
-                self._resolve_errors += 1
-            return []
         with self._lock:
-            self._resolves_engine += 1
-
-        def _apply(future: "Future[EstimationReport]") -> None:
-            events: List[SessionEvent]
-            with entry.lock:
-                error = future.exception()
-                if error is not None:
-                    session.resolve_failed()
-                    with self._lock:
-                        self._resolve_errors += 1
-                    _logger.debug(
-                        "windowed re-solve failed: session=%s error=%s",
-                        session.session_id,
-                        error,
-                    )
-                    return
-                report = future.result()
-                events = session.apply_windowed(report.position)
-            self._observe_resolve("engine", time.perf_counter() - started)
-            self._publish(events)
-
-        ticket.add_done_callback(_apply)
-        return []
+            self._resolves_direct += 1
+            self._resolve_errors += int(failed)
+        if metrics_enabled():
+            get_registry().counter("serve.stream.resolves_total").inc()
+        return events
 
     # ------------------------------------------------------------------
     # sweeping / drain
@@ -328,9 +282,8 @@ class SessionManager:
         """Session-aware drain: final re-solves, departures, removal.
 
         Stops admitting new sessions, flushes one final windowed
-        re-solve per live session (directly — the engine may itself be
-        draining), departs them with ``reason="drain"``, and returns a
-        summary. Idempotent.
+        re-solve per live session, departs them with ``reason="drain"``,
+        and returns a summary. Idempotent.
         """
         with self._lock:
             self._draining = True
@@ -347,9 +300,7 @@ class SessionManager:
                     session.state is not SessionState.DEPARTED
                     and session.window_size() >= session.config.min_window_reads
                 ):
-                    events.extend(session.resolve_windowed())
-                    with self._lock:
-                        self._resolves_direct += 1
+                    events.extend(self._resolve(session))
                     finals += 1
                 events.extend(session.depart("drain"))
             self._remove(sid)
@@ -389,7 +340,9 @@ class SessionManager:
                 "reads": self._reads_total,
                 "events": self._events_total,
                 "resolves_direct": self._resolves_direct,
-                "resolves_engine": self._resolves_engine,
+                # Always 0 since every re-solve runs in the manager;
+                # servebench/ladder.py still reads the key.
+                "resolves_engine": 0,
                 "resolve_errors": self._resolve_errors,
                 "draining": self._draining,
                 "states": states,
@@ -431,13 +384,3 @@ class SessionManager:
             for event in events:
                 registry.counter("serve.stream.events_total", kind=event.kind).inc()
         self.bus.publish_all(events)
-
-    def _observe_resolve(self, mode: str, elapsed_s: Optional[float] = None) -> None:
-        if not metrics_enabled():
-            return
-        registry = get_registry()
-        registry.counter("serve.stream.resolves_total", mode=mode).inc()
-        if elapsed_s is not None:
-            registry.histogram(
-                "serve.stream.resolve_seconds", buckets=LATENCY_BUCKETS_S
-            ).observe(elapsed_s)

@@ -5,10 +5,8 @@ through a :class:`~repro.stream.manager.SessionManager` either at
 **wall-clock** pace (sleeping out the recorded inter-read gaps,
 optionally time-scaled) or at **max speed** (no sleeping — the offline
 test/bench mode). The replay's final windowed re-solve is compared
-bit-for-bit against a one-shot batch estimate over the identical window
-— the end-to-end form of the incremental-assembly identity the core
-layer guarantees — and the verdict ships in the
-:class:`ReplayResult`. ``lion replay`` is the CLI face of this module.
+bit-for-bit against a one-shot batch estimate over the identical window,
+and the verdict ships in the :class:`ReplayResult`. ``lion replay`` is the CLI face of this module.
 """
 
 from __future__ import annotations

@@ -14,19 +14,19 @@ Two estimation paths run side by side:
   session's estimator advertises it, otherwise an implicit
   ``lion-online``) folds every read in O(1) and produces
   ``PositionUpdated(source="fast")`` estimates at the update cadence;
-* **windowed re-solve** — the bounded sliding window
-  (:class:`repro.core.incremental.IncrementalScanAssembler` for LION,
-  raw read arrays otherwise) is periodically re-solved through the
-  batch path — directly, or fused across sessions by the serving
-  engine — yielding ``PositionUpdated(source="windowed")`` estimates
-  that are bit-identical to a one-shot ``locate`` on the same window.
+* **windowed re-solve** — the bounded sliding window of raw reads is
+  periodically re-solved by the session's estimator, ``estimate()`` on
+  an :class:`~repro.pipeline.contract.EstimationRequest` of the window
+  (for ``lion``, one ``locate`` call), yielding
+  ``PositionUpdated(source="windowed")`` estimates that are
+  bit-identical to a one-shot estimate of the same window.
 
 When the two disagree beyond ``drift_threshold_m`` the session raises a
 ``CalibrationDriftAlarm`` — the streaming symptom of the phase-drift
 problem the paper's calibration attacks.
 
 Sessions are not thread-safe; :class:`~repro.stream.manager.SessionManager`
-serializes access per session (the session-affinity guarantee).
+serializes access per session.
 """
 
 from __future__ import annotations
@@ -37,15 +37,12 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
-from repro.core.incremental import IncrementalScanAssembler
-from repro.core.localizer import LionLocalizer
 from repro.pipeline.contract import (
     EstimationReport,
     EstimationRequest,
     Estimator,
     StreamingEstimator,
 )
-from repro.pipeline.estimators import LionEstimator
 from repro.pipeline.registry import create_estimator, resolve_config, supports_streaming
 from repro.stream.config import StreamConfig
 from repro.stream.errors import SessionClosedError
@@ -58,8 +55,6 @@ from repro.stream.events import (
     TagSettled,
     as_position,
 )
-
-Read = Tuple[float, Sequence[float], float]
 
 
 class SessionState(str, enum.Enum):
@@ -99,22 +94,10 @@ class TagSession:
         self._window_estimator: Estimator = create_estimator(
             config.estimator, resolved
         )
-        self._estimator_dim = int(getattr(resolved, "dim", 2) or 2)
 
-        # LION rides the incremental assembler (unwrap continuation +
-        # recipe reuse); everything else keeps raw window arrays and
-        # re-solves through its batch contract.
-        self._assembler: Optional[IncrementalScanAssembler] = None
         self._raw_t: Deque[float] = deque(maxlen=config.max_window_reads)
         self._raw_pos: Deque[np.ndarray] = deque(maxlen=config.max_window_reads)
         self._raw_phase: Deque[float] = deque(maxlen=config.max_window_reads)
-        if config.estimator == "lion":
-            localizer: LionLocalizer = cast(
-                LionEstimator, self._window_estimator
-            ).localizer
-            self._assembler = IncrementalScanAssembler(
-                localizer, max_reads=config.max_window_reads
-            )
 
         self._fast: Optional[StreamingEstimator] = self._build_fast_path()
 
@@ -124,12 +107,10 @@ class TagSession:
         self._reads_since_resolve = 0
         self._resolves = 0
         self._drift_alarms = 0
-        self._resolve_pending = False
         self._last_timestamp_s = 0.0
         self.last_activity_s = 0.0
         self._recent: Deque[np.ndarray] = deque(maxlen=config.settle_window)
         self._last_fast: Optional[np.ndarray] = None
-        self._last_windowed: Optional[np.ndarray] = None
         self._last_estimate: Optional[Dict[str, Any]] = None
 
     def _build_fast_path(self) -> Optional[StreamingEstimator]:
@@ -167,29 +148,32 @@ class TagSession:
 
         Raises:
             SessionClosedError: the session already departed.
-            ValueError: on a malformed read (non-finite, wrong shape).
+            ValueError: on a malformed read (non-finite, wrong shape),
+                which is not stored.
         """
         if self.state is SessionState.DEPARTED:
             raise SessionClosedError(f"session {self.session_id} has departed")
+        point = np.array(position, dtype=float)
+        if point.ndim != 1 or point.shape[0] not in (2, 3):
+            raise ValueError(f"position must be a 2- or 3-vector, got {point.shape}")
+        if not np.all(np.isfinite(point)):
+            raise ValueError("position contains non-finite values")
+        phase = float(wrapped_phase_rad)
+        if not np.isfinite(phase):
+            raise ValueError("phase is non-finite; filter failed reads upstream")
+
+        if self._fast is not None:
+            # First: it also rejects a position with fewer axes than its dim.
+            self._fast.ingest(point, phase)
+
         events: List[SessionEvent] = []
         timestamp = float(timestamp_s)
         if self._reads == 0:
             events.append(self._event(TagEntered, timestamp))
 
-        if self._assembler is not None:
-            self._assembler.append(position, wrapped_phase_rad, timestamp_s=timestamp)
-        else:
-            point = np.asarray(position, dtype=float)
-            if point.ndim != 1 or point.shape[0] not in (2, 3):
-                raise ValueError(
-                    f"position must be a 2- or 3-vector, got {point.shape}"
-                )
-            self._raw_t.append(timestamp)
-            self._raw_pos.append(point.copy())
-            self._raw_phase.append(float(wrapped_phase_rad))
-
-        if self._fast is not None:
-            self._fast.ingest(np.asarray(position, dtype=float), float(wrapped_phase_rad))
+        self._raw_t.append(timestamp)
+        self._raw_pos.append(point)
+        self._raw_phase.append(phase)
 
         self._reads += 1
         self._reads_since_update += 1
@@ -218,14 +202,10 @@ class TagSession:
     # ------------------------------------------------------------------
     def window_size(self) -> int:
         """Reads currently in the sliding window."""
-        if self._assembler is not None:
-            return len(self._assembler)
         return len(self._raw_phase)
 
     def window_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The window's raw ``(timestamps, positions, phases)`` arrays."""
-        if self._assembler is not None:
-            return self._assembler.window_arrays()
         timestamps = np.array(self._raw_t, dtype=float)
         positions = (
             np.array(self._raw_pos, dtype=float) if self._raw_pos else np.empty((0, 2))
@@ -234,10 +214,9 @@ class TagSession:
         return timestamps, positions, phases
 
     def needs_resolve(self) -> bool:
-        """Whether a windowed re-solve is due (and none is in flight)."""
+        """Whether a windowed re-solve is due."""
         return (
             self.state is not SessionState.DEPARTED
-            and not self._resolve_pending
             and self.window_size() >= self.config.min_window_reads
             and self._reads_since_resolve >= self.config.resolve_every_reads
         )
@@ -245,48 +224,29 @@ class TagSession:
     def build_resolve_request(self) -> Tuple[str, Optional[Dict[str, Any]], EstimationRequest]:
         """The ``(estimator, config, request)`` of a windowed re-solve.
 
-        The request carries the window's *raw* reads, so any executor —
-        the session's own direct path, the serving engine's fused batch,
-        or a one-shot ``locate`` — produces the same, bit-identical
-        answer.
+        The request carries the window's raw reads; every re-solve is the
+        session estimator's ``estimate()`` on it, so a one-shot
+        ``repro.pipeline.estimate(*build_resolve_request())`` reproduces
+        the session's answer bit for bit.
         """
-        _, positions, phases = self.window_arrays()
-        request = EstimationRequest(positions=positions, phases_rad=phases)
-        return self.config.estimator, self.config.estimator_config, request
+        return self.config.estimator, self.config.estimator_config, self._window_request()
 
-    def mark_resolve_pending(self) -> None:
-        """Record an in-flight engine re-solve (single-flight per session)."""
-        self._resolve_pending = True
-        self._reads_since_resolve = 0
+    def _window_request(self) -> EstimationRequest:
+        _, positions, phases = self.window_arrays()
+        return EstimationRequest(positions=positions, phases_rad=phases)
 
     def resolve_windowed(self) -> List[SessionEvent]:
-        """Re-solve the window directly (no engine) and apply the result.
+        """Re-solve the window and fold the answer into the session.
 
-        LION sessions go through the incremental assembler's fused path
-        (recipe cache, bit-identical to ``locate``); other estimators
-        re-estimate the window through their batch contract. A window
-        that cannot solve (degenerate, too few reads) is skipped — the
-        fast path keeps serving estimates.
+        Raises:
+            ValueError: the window cannot solve (degenerate geometry, too
+                few usable reads). Only the re-solve cadence restarts;
+                the fast path keeps serving estimates.
         """
         self._reads_since_resolve = 0
-        try:
-            if self._assembler is not None:
-                result = self._assembler.resolve()
-                position = np.asarray(result.position, dtype=float)
-            else:
-                name, config, request = self.build_resolve_request()
-                report = self._window_estimator.estimate(request)
-                position = np.asarray(report.position, dtype=float)
-        except ValueError:
-            return []
-        return self.apply_windowed(position)
-
-    def apply_windowed(self, position: np.ndarray) -> List[SessionEvent]:
-        """Fold a finished windowed re-solve back into the session."""
-        self._resolve_pending = False
+        report = self._window_estimator.estimate(self._window_request())
         self._resolves += 1
-        estimate = np.asarray(position, dtype=float)
-        self._last_windowed = estimate
+        estimate = np.asarray(report.position, dtype=float)
         events = self._emit_update(estimate, "windowed", self._last_timestamp_s)
         # The first re-solve lands while the RLS fast path is still
         # converging; disagreement there is warmup, not drift.
@@ -309,23 +269,14 @@ class TagSession:
                 )
         return events
 
-    def resolve_failed(self) -> None:
-        """Clear the in-flight flag after an engine re-solve failed."""
-        self._resolve_pending = False
-
     def final_resolve(self) -> Optional[EstimationReport]:
-        """One last windowed solve of the current window, or ``None``.
+        """The window's re-solve report, or ``None`` when it cannot solve.
 
-        This is the estimate the drain path and ``lion replay`` report;
-        for LION it is bit-identical to a one-shot ``locate`` over
-        :meth:`window_arrays`.
+        Leaves the session untouched; ``lion replay`` and the stream
+        benchmark compare it with a one-shot estimate of the same window.
         """
         try:
-            if self._assembler is not None:
-                result = self._assembler.resolve()
-                return cast(LionEstimator, self._window_estimator).report(result)
-            name, config, request = self.build_resolve_request()
-            return self._window_estimator.estimate(request)
+            return self._window_estimator.estimate(self._window_request())
         except ValueError:
             return None
 

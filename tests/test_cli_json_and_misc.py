@@ -2,9 +2,6 @@
 
 import json
 
-import numpy as np
-import pytest
-
 from repro.cli import main
 from repro.experiments.figures import run_figure
 from repro.experiments.metrics import ExperimentResult

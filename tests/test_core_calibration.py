@@ -14,7 +14,7 @@ from repro.core.calibration import (
 from repro.core.localizer import LionLocalizer
 from repro.datasets.synthetic import simulate_scan
 from repro.rf.antenna import Antenna
-from repro.rf.noise import GaussianPhaseNoise, NoPhaseNoise
+from repro.rf.noise import GaussianPhaseNoise
 from repro.rf.tag import Tag
 from repro.trajectory.multiline import ThreeLineScan
 

@@ -1,21 +1,22 @@
-"""Tests for repro.core.incremental — append-aware scan assembly.
+"""Tests for a streaming session's incremental re-solve.
 
-The whole streaming subsystem rests on one identity: a window re-solve
-through :class:`IncrementalScanAssembler` is bit-identical to a one-shot
-:meth:`LionLocalizer.locate` over the same window's raw reads. These
-tests pin that identity at every stage (unwrap correction, preprocessed
-profile, full solve), across window eviction, and through reset.
+A :class:`~repro.stream.TagSession` appends reads one at a time to a
+bounded window and re-solves that window with the session estimator; for
+``lion`` the re-solve is one :meth:`LionLocalizer.locate` call on the
+window's raw reads. These tests pin its identity with the batch pipeline
+at every stage (stored reads, preprocessed profile, full solve), across
+window eviction, and across repeated re-solves.
 """
 
 import numpy as np
 import pytest
 
 from repro import LinearTrajectory, default_antenna, simulate_scan
-from repro.core.incremental import IncrementalScanAssembler, unwrap_correction
-from repro.core.localizer import LionLocalizer, PreprocessConfig, TooFewReadsError
+from repro.core.localizer import LionLocalizer
+from repro.stream import StreamConfig, TagSession
 
 
-def _scan(seed=3, reads=None):
+def _scan(seed=3):
     rng = np.random.default_rng(seed)
     antenna = default_antenna((0.15, 0.95, 0.0), rng)
     return simulate_scan(
@@ -23,62 +24,51 @@ def _scan(seed=3, reads=None):
     )
 
 
-def _filled(localizer, scan, max_reads=4096):
-    assembler = IncrementalScanAssembler(localizer, max_reads=max_reads)
+def _filled(scan, max_reads=4096, estimator_config=None):
+    config = StreamConfig(
+        max_window_reads=max_reads, estimator_config=estimator_config
+    )
+    session = TagSession("sid", "T", "1", config)
     for k in range(len(scan)):
-        assembler.append(scan.positions[k], scan.phases[k], timestamp_s=k / 120.0)
-    return assembler
-
-
-class TestUnwrapCorrection:
-    def test_cumulative_corrections_reproduce_np_unwrap(self):
-        rng = np.random.default_rng(11)
-        wrapped = rng.uniform(0.0, 2.0 * np.pi, size=500)
-        corrections = np.zeros_like(wrapped)
-        for i in range(1, wrapped.size):
-            corrections[i] = unwrap_correction(wrapped[i - 1], wrapped[i], np.pi)
-        rebuilt = wrapped.copy()
-        rebuilt[1:] = wrapped[1:] + np.cumsum(corrections[1:])
-        assert np.array_equal(rebuilt, np.unwrap(wrapped))
-
-    def test_small_step_has_zero_correction(self):
-        assert unwrap_correction(1.0, 1.2, np.pi) == 0.0
-
-    def test_wrap_jump_corrected(self):
-        # 6.2 -> 0.1 is a forward wrap: np.unwrap adds 2*pi.
-        correction = unwrap_correction(6.2, 0.1, np.pi)
-        assert correction == pytest.approx(2.0 * np.pi)
-
-    def test_matches_np_unwrap_at_exact_pi_jump(self):
-        for previous, phase in [(0.0, np.pi), (np.pi, 0.0), (0.0, -np.pi)]:
-            expected = np.unwrap(np.array([previous, phase]))[1] - phase
-            assert unwrap_correction(previous, phase, np.pi) == expected
+        session.add_read(k / 120.0, scan.positions[k], scan.phases[k])
+    return session
 
 
 class TestWindowProfile:
     def test_profile_bit_identical_to_batch_preprocess(self):
         scan = _scan()
         localizer = LionLocalizer(dim=2)
-        assembler = _filled(localizer, scan)
+        session = _filled(scan)
+        _, _, phases = session.window_arrays()
         batch = localizer.preprocess_phase(scan.phases)
-        assert np.array_equal(assembler.window_profile(), batch)
+        assert np.array_equal(localizer.preprocess_phase(phases), batch)
+        # the re-solve's Eq. (7) right-hand side is built from that profile
+        resolved = session.final_resolve().raw
+        located = localizer.locate(scan.positions, scan.phases)
+        assert np.array_equal(resolved.system.rhs, located.system.rhs)
 
     def test_profile_identity_survives_eviction(self):
         scan = _scan()
         localizer = LionLocalizer(dim=2)
         max_reads = 200
-        assembler = _filled(localizer, scan, max_reads=max_reads)
-        assert len(assembler) == max_reads
-        window_phases = scan.phases[-max_reads:]
-        batch = localizer.preprocess_phase(window_phases)
-        assert np.array_equal(assembler.window_profile(), batch)
+        session = _filled(scan, max_reads=max_reads)
+        assert session.window_size() == max_reads
+        _, _, phases = session.window_arrays()
+        batch = localizer.preprocess_phase(scan.phases[-max_reads:])
+        assert np.array_equal(localizer.preprocess_phase(phases), batch)
+        resolved = session.final_resolve().raw
+        located = localizer.locate(
+            np.asarray(scan.positions)[-max_reads:], scan.phases[-max_reads:]
+        )
+        assert np.array_equal(resolved.system.rhs, located.system.rhs)
 
     def test_window_arrays_are_the_raw_reads(self):
         scan = _scan()
-        assembler = _filled(LionLocalizer(dim=2), scan)
-        timestamps, positions, phases = assembler.window_arrays()
+        session = _filled(scan)
+        timestamps, positions, phases = session.window_arrays()
         assert np.array_equal(positions, np.asarray(scan.positions, dtype=float))
         assert np.array_equal(phases, np.asarray(scan.phases, dtype=float))
+        assert np.array_equal(timestamps, np.arange(len(scan)) / 120.0)
         assert timestamps[-1] == pytest.approx((len(scan) - 1) / 120.0)
 
 
@@ -86,90 +76,43 @@ class TestResolveIdentity:
     @pytest.mark.parametrize("method", ["wls", "ls"])
     def test_resolve_bit_identical_to_locate(self, method):
         scan = _scan()
-        localizer = LionLocalizer(dim=2, method=method)
-        assembler = _filled(localizer, scan)
-        incremental = assembler.resolve()
-        batch = localizer.locate(scan.positions, scan.phases)
+        session = _filled(scan, estimator_config={"method": method})
+        incremental = session.final_resolve()
+        batch = LionLocalizer(dim=2, method=method).locate(
+            scan.positions, scan.phases
+        )
         assert np.array_equal(incremental.position, batch.position)
         assert incremental.reference_distance_m == batch.reference_distance_m
 
     def test_resolve_bit_identical_after_eviction(self):
         scan = _scan()
-        localizer = LionLocalizer(dim=2)
         max_reads = 300
-        assembler = _filled(localizer, scan, max_reads=max_reads)
-        incremental = assembler.resolve()
-        batch = localizer.locate(
+        session = _filled(scan, max_reads=max_reads)
+        incremental = session.final_resolve()
+        batch = LionLocalizer(dim=2).locate(
             np.asarray(scan.positions)[-max_reads:], scan.phases[-max_reads:]
         )
         assert np.array_equal(incremental.position, batch.position)
 
     def test_repeated_resolves_are_stable(self):
         scan = _scan()
-        assembler = _filled(LionLocalizer(dim=2), scan)
-        first = assembler.resolve()
-        second = assembler.resolve()
+        session = _filled(scan)
+        first = session.final_resolve()
+        events = session.resolve_windowed()
+        second = session.final_resolve()
         assert np.array_equal(first.position, second.position)
-
-    def test_resolve_after_reset_and_refill(self):
-        scan = _scan()
-        localizer = LionLocalizer(dim=2)
-        assembler = _filled(localizer, scan)
-        assembler.reset()
-        assert len(assembler) == 0
-        assert assembler.appended == 0
-        for k in range(len(scan)):
-            assembler.append(scan.positions[k], scan.phases[k])
-        batch = localizer.locate(scan.positions, scan.phases)
-        assert np.array_equal(assembler.resolve().position, batch.position)
+        assert events[0].source == "windowed"
+        assert np.array_equal(events[0].position, first.position)
+        assert session.window_size() == len(scan)
 
 
 class TestValidation:
     def test_window_bound_must_hold_three_reads(self):
-        with pytest.raises(ValueError):
-            IncrementalScanAssembler(LionLocalizer(dim=2), max_reads=2)
-
-    def test_too_few_reads_to_resolve(self):
-        assembler = IncrementalScanAssembler(LionLocalizer(dim=2), max_reads=16)
-        assembler.append((0.0, 0.0), 0.1)
-        assembler.append((0.01, 0.0), 0.2)
-        with pytest.raises(TooFewReadsError):
-            assembler.resolve()
-
-    def test_non_finite_phase_rejected(self):
-        assembler = IncrementalScanAssembler(LionLocalizer(dim=2), max_reads=16)
-        with pytest.raises(ValueError):
-            assembler.append((0.0, 0.0), float("nan"))
-
-    def test_bad_position_shape_rejected(self):
-        assembler = IncrementalScanAssembler(LionLocalizer(dim=2), max_reads=16)
-        with pytest.raises(ValueError):
-            assembler.append((0.0, 0.0, 0.0, 0.0), 0.1)
-        with pytest.raises(ValueError):
-            assembler.append((float("inf"), 0.0), 0.1)
+        with pytest.raises(ValueError, match="max_window_reads must be at least 3"):
+            StreamConfig(max_window_reads=2, min_window_reads=3)
 
     def test_appended_counts_evicted_reads(self):
         scan = _scan()
-        assembler = _filled(LionLocalizer(dim=2), scan, max_reads=100)
-        assert assembler.appended == len(scan)
-        assert len(assembler) == 100
-
-
-class TestSmoothingVariants:
-    def test_identity_with_smoothing_disabled(self):
-        scan = _scan()
-        localizer = LionLocalizer(
-            dim=2, preprocess=PreprocessConfig(smoothing_window=1)
-        )
-        assembler = _filled(localizer, scan)
-        batch = localizer.locate(scan.positions, scan.phases)
-        assert np.array_equal(assembler.resolve().position, batch.position)
-
-    def test_identity_with_hampel_filter(self):
-        scan = _scan()
-        localizer = LionLocalizer(
-            dim=2, preprocess=PreprocessConfig(hampel_window=7)
-        )
-        assembler = _filled(localizer, scan)
-        batch = localizer.locate(scan.positions, scan.phases)
-        assert np.array_equal(assembler.resolve().position, batch.position)
+        session = _filled(scan, max_reads=100)
+        assert session.reads == len(scan)
+        assert session.window_size() == 100

@@ -7,8 +7,7 @@ from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
 from repro.core.localizer import LionLocalizer, PreprocessConfig
 from repro.datasets.synthetic import simulate_scan
 from repro.rf.antenna import Antenna
-from repro.rf.noise import GaussianPhaseNoise, NoPhaseNoise
-from repro.trajectory.circular import CircularTrajectory
+from repro.rf.noise import GaussianPhaseNoise
 from repro.trajectory.linear import LinearTrajectory
 from repro.trajectory.multiline import ThreeLineScan, TwoLineScan
 

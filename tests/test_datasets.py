@@ -11,7 +11,6 @@ from repro.datasets.synthetic import (
 )
 from repro.rf.noise import NoPhaseNoise
 from repro.rf.reader import ReaderConfig
-from repro.rf.tag import Tag
 from repro.trajectory.linear import LinearTrajectory
 from repro.trajectory.multiline import ThreeLineScan
 

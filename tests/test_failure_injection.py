@@ -13,7 +13,6 @@ import pytest
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
 from repro.core.localizer import LionLocalizer, PreprocessConfig
 from repro.datasets.synthetic import simulate_scan
-from repro.rf.antenna import Antenna
 from repro.rf.noise import GaussianPhaseNoise
 from repro.rf.reader import ReaderConfig
 from repro.trajectory.linear import LinearTrajectory

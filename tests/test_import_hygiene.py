@@ -3,7 +3,8 @@
 The tool also runs standalone in CI's lint job; these tests keep its
 verdict correct in both directions — the tree is currently clean, and a
 sneaky import (even a lazy one inside a function) is caught: a solver
-import in the harness, or an upward import in core or baselines.
+import in the harness, an upward import in core or baselines, or a
+serving import in the session layer.
 """
 
 import importlib.util
@@ -158,3 +159,36 @@ class TestStreamLayering:
         assert len(messages) == 1
         assert "repro.stream" in messages[0]
         assert "session layer" in messages[0]
+
+    def test_session_layer_files_and_serve_prefix(self):
+        relative = {
+            path.relative_to(hygiene.SRC).as_posix() for path in hygiene.stream_files()
+        }
+        assert "repro/stream/manager.py" in relative
+        assert all(name.startswith("repro/stream/") for name in relative)
+        assert hygiene._is_serve("repro.serve")
+        assert hygiene._is_serve("repro.serve.engine")
+        assert not hygiene._is_serve("repro.server")
+        assert not hygiene._is_serve("repro.stream")
+
+    def test_flags_serve_import_in_session_layer(self, tmp_path, monkeypatch, capsys):
+        # A synthetic tree whose session layer imports the serving engine
+        # lazily: the gate reports exactly that one line.
+        repro = tmp_path / "src" / "repro"
+        (repro / "stream").mkdir(parents=True)
+        (repro / "cli.py").write_text("")
+        (repro / "stream" / "manager.py").write_text(
+            "from repro.stream.config import StreamConfig\n"
+            "def engine():\n"
+            "    from repro.serve.engine import ServeEngine\n"
+            "    return ServeEngine, StreamConfig\n"
+        )
+        monkeypatch.setattr(hygiene, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(hygiene, "SRC", tmp_path / "src")
+        assert hygiene.main() == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            "import-hygiene violations:",
+            "  src/repro/stream/manager.py:3: imports 'repro.serve.engine'; "
+            "repro.serve.net imports the session layer, which may not import it back",
+        ]

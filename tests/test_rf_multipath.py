@@ -1,6 +1,5 @@
 """Tests for repro.rf.multipath."""
 
-import numpy as np
 import pytest
 
 from repro.constants import DEFAULT_WAVELENGTH_M

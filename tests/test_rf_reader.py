@@ -7,7 +7,6 @@ from repro.constants import DEFAULT_FREQUENCY_HZ
 from repro.rf.channel import Channel, ChannelConfig
 from repro.rf.noise import NoPhaseNoise
 from repro.rf.reader import ReadRecord, Reader, ReaderConfig
-from repro.rf.tag import Tag
 
 
 @pytest.fixture

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from repro import LinearTrajectory, default_antenna, simulate_scan
-from repro.pipeline import estimate
-from repro.serve import ServeEngine
+from repro.pipeline import EstimationRequest, estimate
 from repro.stream import (
     DuplicateSessionError,
     EventBus,
@@ -256,6 +255,31 @@ class TestDrain:
         ):
             assert key in stats
 
+    def test_failed_resolves_are_counted(self):
+        # Twelve reads at one position make a degenerate window, so every
+        # re-solve raises; feed, close and drain each count the attempt
+        # and the failure.
+        reads = [(k / 120.0, (0.0, 0.0), 0.1 * k) for k in range(12)]
+        manager = SessionManager(defaults=StreamConfig(resolve_every_reads=12))
+
+        def counts():
+            stats = manager.stats()
+            return stats["resolves_direct"], stats["resolve_errors"]
+
+        closed = manager.open_session("CLOSED")
+        manager.feed(closed.session_id, reads)
+        assert closed.last_estimate is None
+        assert counts() == (1, 1)
+        manager.close_session(closed.session_id)
+        assert counts() == (2, 2)
+
+        # the default cadence (64 reads) leaves the re-solve to the drain
+        drained = manager.open_session("DRAINED", config=StreamConfig())
+        manager.feed(drained.session_id, reads)
+        assert counts() == (2, 2)
+        assert manager.drain() == {"sessions_drained": 1, "final_resolves": 1}
+        assert counts() == (3, 3)
+
 
 class TestChunkDeterminism:
     """Chunking is transport, not math: any chunking of the same reads
@@ -302,32 +326,72 @@ class TestChunkDeterminism:
         assert np.array_equal(final.position, oneshot.position)
 
 
-class TestEngineResolves:
-    def test_windowed_resolves_route_through_engine(self):
-        import time
+class TestWindowReads:
+    """Every session validates a read before it enters the window."""
 
+    @pytest.mark.parametrize("estimator", ["lion", "hyperbola"])
+    @pytest.mark.parametrize(
+        "position, phase",
+        [
+            ((0.0, 0.0), float("nan")),
+            ((float("inf"), 0.0), 0.1),
+            ((0.0, 0.0, 0.0, 0.0), 0.1),
+        ],
+        ids=["nan-phase", "inf-position", "wrong-shape"],
+    )
+    def test_feed_rejects_malformed_read(self, estimator, position, phase):
+        manager = SessionManager(defaults=StreamConfig(estimator=estimator))
+        session = manager.open_session("T")
+        manager.feed(session.session_id, [(0.0, (0.0, 0.0), 0.1)])
+        with pytest.raises(ValueError):
+            manager.feed(session.session_id, [(0.1, position, phase)])
+        # the bad read left the session as it was
+        assert session.reads == 1
+        assert session.window_size() == 1
+
+    def test_short_position_for_a_3d_session_is_not_stored(self):
+        manager = SessionManager(defaults=StreamConfig(estimator_config={"dim": 3}))
+        session = manager.open_session("T")
+        with pytest.raises(ValueError):
+            manager.feed(session.session_id, [(0.0, (0.0, 0.0), 0.1)])
+        assert (session.reads, session.window_size()) == (0, 0)
+
+    def test_too_few_reads_to_resolve(self):
+        session = TagSession("sid", "T", "1", StreamConfig())
+        session.add_read(0.0, (0.0, 0.0), 0.1)
+        session.add_read(0.01, (0.01, 0.0), 0.2)
+        assert session.final_resolve() is None
+        with pytest.raises(ValueError):
+            session.resolve_windowed()
+
+
+class TestResolveIdentity:
+    """A windowed re-solve is ``estimate()`` on the window, whatever the
+    estimator config."""
+
+    @pytest.mark.parametrize(
+        "estimator_config",
+        [{"method": "ls"}, {"smoothing_window": 1}, {"hampel_window": 7}],
+        ids=["ls", "no-smoothing", "hampel"],
+    )
+    def test_resolve_equals_oneshot_estimate(self, estimator_config):
         scan = _scan()
-        with ServeEngine() as engine:
-            manager = SessionManager(engine=engine)
-            session = manager.open_session("T")
-            _feed_chunked(manager, session.session_id, _reads(scan), 64)
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if (
-                    session.last_estimate is not None
-                    and session.last_estimate["source"] == "windowed"
-                ):
-                    break
-                time.sleep(0.01)
-            stats = manager.stats()
-            assert stats["resolves_engine"] > 0
-            assert session.last_estimate["source"] == "windowed"
-            # the engine-applied estimate equals the one-shot answer for
-            # the window it solved — spot-check with a fresh final solve
-            final = session.final_resolve()
-            name, config, request = session.build_resolve_request()
-            oneshot = estimate(name, request, config)
-            assert np.array_equal(final.position, oneshot.position)
+        reads = _reads(scan)
+        config = StreamConfig(
+            estimator_config=estimator_config, resolve_every_reads=len(reads)
+        )
+        manager = SessionManager(defaults=config)
+        session = manager.open_session("T")
+        manager.feed(session.session_id, reads)
+        assert session.last_estimate["source"] == "windowed"
+        _, positions, phases = session.window_arrays()
+        oneshot = estimate(
+            "lion",
+            EstimationRequest(positions=positions, phases_rad=phases),
+            estimator_config,
+        )
+        assert np.array_equal(session.last_estimate["position"], oneshot.position)
+        assert np.array_equal(session.final_resolve().position, oneshot.position)
 
 
 class TestEventBus:

@@ -25,12 +25,14 @@ same serving surface downstream users get. For every file under
   ``repro.core.calibration`` (calibration is a workflow on top of
   estimation, not an estimator, and is itself registry-backed inside).
 
-**Stream layering.** :mod:`repro.stream` sits above core/pipeline/serve:
-it may import them, but nothing below it may import it back. Within
+**Stream layering.** :mod:`repro.stream` sits above core/pipeline: it
+may import them, but nothing below it may import it back. Within
 ``src/repro/``, only ``repro/stream/`` itself, ``repro/serve/net/``
 (the HTTP face of sessions), and ``repro/cli.py`` (``lion replay``)
 may import ``repro.stream`` — so the one-shot path never grows a
-hidden dependency on the session subsystem.
+hidden dependency on the session subsystem. Because ``repro.serve.net``
+imports the session layer, no file under ``src/repro/stream/`` may
+import ``repro.serve`` — so the two packages never form an import loop.
 
 **Calibration layering.** :mod:`repro.calib` (the fleet calibration
 registry) likewise sits above the solver stack: it may import core /
@@ -77,6 +79,8 @@ STREAM_PREFIX = "repro.stream"
 STREAM_ALLOWED_DIRS = ("repro/stream", "repro/serve/net")
 #: single files (relative to src/) that may import repro.stream.
 STREAM_ALLOWED_FILES = ("repro/cli.py",)
+#: the serving layer, which files under repro/stream may never import.
+SERVE_PREFIX = "repro.serve"
 
 #: the layered package of the calibration rule.
 CALIB_PREFIX = "repro.calib"
@@ -132,6 +136,15 @@ def _is_forbidden(module: str) -> bool:
 
 def _is_stream(module: str) -> bool:
     return module == STREAM_PREFIX or module.startswith(STREAM_PREFIX + ".")
+
+
+def stream_files() -> List[Path]:
+    """The session layer's own files, which may not import :mod:`repro.serve`."""
+    return sorted((SRC / "repro" / "stream").rglob("*.py"))
+
+
+def _is_serve(module: str) -> bool:
+    return module == SERVE_PREFIX or module.startswith(SERVE_PREFIX + ".")
 
 
 def calib_gated_files() -> List[Path]:
@@ -199,6 +212,13 @@ def check_stream_file(path: Path) -> List[str]:
     )
 
 
+def check_stream_serve_file(path: Path) -> List[str]:
+    """Session-layer-imports-serve violation messages (empty when clean)."""
+    return _violations(
+        path, _is_serve, "repro.serve.net imports the session layer, which may not import it back"
+    )
+
+
 def check_calib_file(path: Path) -> List[str]:
     """Calibration-layering violation messages for one file (empty when clean)."""
     return _violations(
@@ -214,9 +234,12 @@ def main() -> int:
         violations.extend(check_solver_file(path))
     for path in gated_files():
         violations.extend(check_file(path))
-    stream_files = stream_gated_files()
-    for path in stream_files:
+    stream_gated = stream_gated_files()
+    for path in stream_gated:
         violations.extend(check_stream_file(path))
+    session_files = stream_files()
+    for path in session_files:
+        violations.extend(check_stream_serve_file(path))
     calib_files = calib_gated_files()
     for path in calib_files:
         violations.extend(check_calib_file(path))
@@ -227,8 +250,8 @@ def main() -> int:
         return 1
     print(
         f"import hygiene OK ({len(solver)} solver, {len(gated_files())} dispatch-gated, "
-        f"{len(stream_files)} stream-gated, {len(calib_files)} "
-        "calib-gated files checked)"
+        f"{len(stream_gated)} stream-gated, {len(session_files)} session-layer, "
+        f"{len(calib_files)} calib-gated files checked)"
     )
     return 0
 

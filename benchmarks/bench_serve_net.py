@@ -1,7 +1,7 @@
 """Loopback load test of the networked sharded serving front end.
 
-Boots ``repro.serve.net`` servers (process workers, result cache off so
-every request pays its real solve) at 1/4/8 shards and drives two load
+Boots ``repro.serve.net`` servers (process workers; every request pays
+its real solve) at 1/4/8 shards and drives two load
 protocols over HTTP on loopback:
 
 - **closed loop** — a fixed client fleet, each client keeping exactly
@@ -58,7 +58,6 @@ import numpy as np
 from repro.pipeline import estimate
 from repro.pipeline.contract import EstimationRequest
 from repro.serve.bench import build_requests
-from repro.serve.engine import ServeConfig
 from repro.serve.net import NetServeConfig, ServerHandle
 
 #: ``max_iterations`` per LION config group. Chosen so the groups place
@@ -104,7 +103,6 @@ def _server_config(shards: int) -> NetServeConfig:
         shards=shards,
         worker_mode="process",
         max_inflight_per_shard=MAX_INFLIGHT_PER_SHARD,
-        engine=ServeConfig(cache_entries=0),
     )
 
 

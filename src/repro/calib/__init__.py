@@ -15,8 +15,8 @@ fleet, the regime RF-CHORD-scale deployments live in:
   into calibrated centers and offset corrections, cached per store
   generation.
 
-Import hygiene: only the serving layer (:mod:`repro.serve`), the CLI
-and benchmarks/tests may import this package (enforced by
+Import hygiene: only the HTTP front end (:mod:`repro.serve.net`), the
+CLI and benchmarks/tests may import this package (enforced by
 ``tools/check_import_hygiene.py``); the core physics stays unaware of
 fleet management.
 """

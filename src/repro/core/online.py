@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
 from repro.core.lowerdim import recover_coordinate_from_reference
-from repro.core.radical import radical_row
+from repro.core.radical import _coincident, radical_row
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class OnlineLionLocalizer:
         if len(self._window) <= self.pair_lag:
             return
         old_point, old_delta = self._window[0]
-        if np.allclose(old_point, point):
+        if _coincident(old_point, point):
             return
         coefficients, kappa = radical_row(old_point, old_delta, point, delta)
         self._fold(coefficients, kappa)

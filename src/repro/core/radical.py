@@ -23,6 +23,29 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+#: Relative and absolute tolerance of the coincident-position test
+#: (``np.isclose``'s defaults).
+_RTOL = 1e-5
+_ATOL = 1e-8
+
+
+def _coincident(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Whether positions coincide, over the last axis.
+
+    The one coincident-pair rule of the radical rows: a pair coincides
+    when every coordinate of ``first`` is within ``_ATOL + _RTOL *
+    |second|`` of ``second``. The verdict equals
+    ``np.all(np.isclose(first, second), axis=-1)`` on every input
+    (NaN is never close, equal infinities are), without
+    ``np.isclose``'s per-call overhead, which a lone request's recipe
+    build and every streaming read pay.
+    """
+    with np.errstate(invalid="ignore"):
+        close = np.abs(first - second) <= _ATOL + _RTOL * np.abs(second)
+    close &= np.isfinite(second)
+    close |= first == second
+    return close.all(axis=-1)
+
 
 def radical_row(
     position_i: np.ndarray,
@@ -57,7 +80,7 @@ def radical_row(
         raise ValueError(
             f"positions must share shape (2,) or (3,), got {pi.shape} and {pj.shape}"
         )
-    if np.allclose(pi, pj):
+    if _coincident(pi, pj):
         raise ValueError("radical equation undefined for coincident tag positions")
     spatial = 2.0 * (pi - pj)
     omega = 2.0 * (delta_d_i - delta_d_j)
@@ -154,7 +177,7 @@ class AssemblyRecipe:
             raise ValueError("pair index out of range")
         pi = points[index[:, 0]]
         pj = points[index[:, 1]]
-        if np.any(np.all(np.isclose(pi, pj), axis=1)):
+        if _coincident(pi, pj).any():
             raise ValueError("radical equation undefined for coincident tag positions")
         self.index_i = np.ascontiguousarray(index[:, 0])
         self.index_j = np.ascontiguousarray(index[:, 1])

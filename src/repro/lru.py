@@ -3,8 +3,7 @@
 Every cross-call cache in the package is an instance of
 :class:`BoundedLRU`: the trajectory-template cache of
 :mod:`repro.core.batch_prepare`, the pairing/assembly-recipe cache of
-:mod:`repro.core.sweep`, the serve result cache
-(:class:`repro.serve.cache.ResultCache`) and the calibration lookups of
+:mod:`repro.core.sweep` and the calibration lookups of
 :class:`repro.calib.resolver.CalibrationResolver`. The type owns the
 lock, the recency order and the counters; callers own their keys, what
 they build on a miss, and the metrics they emit.

@@ -16,7 +16,6 @@ that).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Protocol, Sequence, Tuple, runtime_checkable
 
@@ -57,11 +56,6 @@ class EstimationRequest:
             (``lion-multiantenna`` only).
         reference_index: Eq. (6) reference read override (``lion``,
             ``hologram``).
-        antennas: registry antenna names (``lion-multiantenna`` only).
-            When serving is wired to a :mod:`repro.calib` store, the
-            resolver fills ``positions`` / ``offset_corrections_rad``
-            from the named antennas' latest committed calibrations;
-            explicitly provided arrays always win.
     """
 
     positions: np.ndarray | None = None
@@ -75,7 +69,6 @@ class EstimationRequest:
     initial_guess: np.ndarray | None = None
     offset_corrections_rad: np.ndarray | None = None
     reference_index: int | None = None
-    antennas: Tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "positions", _as_optional_array(self.positions, float))
@@ -97,10 +90,6 @@ class EstimationRequest:
                 self,
                 "bounds",
                 tuple((float(low), float(high)) for low, high in self.bounds),
-            )
-        if self.antennas is not None:
-            object.__setattr__(
-                self, "antennas", tuple(str(name) for name in self.antennas)
             )
 
     @classmethod
@@ -131,54 +120,6 @@ class EstimationRequest:
         }
         fields.update(overrides)
         return cls(**fields)
-
-    def fingerprint(self) -> str:
-        """Content digest of every request field, for result caching.
-
-        Two requests with equal field *values* (array contents, not object
-        identity) share a fingerprint, so the serving layer
-        (:mod:`repro.serve`) can key its LRU result cache on
-        ``(estimator, config_hash, request.fingerprint())`` and serve
-        repeated scans without re-solving. Arrays are digested over shape,
-        dtype, and bytes; scalars over their ``repr``.
-
-        The digest is computed once and cached on the request — the
-        dataclass is frozen and its array fields are never mutated by any
-        consumer (the serve engine, session re-solves, and the batched
-        prepare all treat requests as immutable), so the fingerprint is
-        stable for the object's lifetime. Serving paths call this on
-        every cache lookup and every session re-solve; without the cache
-        it was the second-largest fixed cost of ``ServeEngine.submit``.
-        """
-        cached = getattr(self, "_fingerprint", None)
-        if cached is not None:
-            return cached
-        hasher = hashlib.blake2b(digest_size=16)
-        for name in (
-            "positions",
-            "phases_rad",
-            "segment_ids",
-            "exclude_mask",
-            "run_ids",
-            "angles_rad",
-            "initial_guess",
-            "offset_corrections_rad",
-        ):
-            value = getattr(self, name)
-            if value is None:
-                hasher.update(b"\x00")
-            else:
-                array = np.ascontiguousarray(value)
-                hasher.update(repr((name, array.shape, array.dtype.str)).encode())
-                hasher.update(array.tobytes())
-        hasher.update(
-            repr(
-                (self.radius_m, self.bounds, self.reference_index, self.antennas)
-            ).encode()
-        )
-        digest = hasher.hexdigest()
-        object.__setattr__(self, "_fingerprint", digest)
-        return digest
 
     def require(self, *names: str) -> None:
         """Raise if any of the named request fields is missing.

@@ -17,7 +17,6 @@ processes that each host one of these engines (``lion serve``).
 """
 
 from repro.serve.batching import GroupKey, execute_batch, group_key, is_batchable
-from repro.serve.cache import CacheKey, ResultCache
 from repro.serve.engine import (
     BATCH_SIZE_BUCKETS,
     ServeConfig,
@@ -44,9 +43,6 @@ __all__ = [
     "group_key",
     "is_batchable",
     "execute_batch",
-    # cache
-    "CacheKey",
-    "ResultCache",
     # errors
     "ServeError",
     "QueueFullError",

@@ -74,7 +74,6 @@ def _replay(
     config = ServeConfig(
         max_queue_depth=max(2 * len(requests), 64),
         max_batch_size=batch_size,
-        cache_entries=0,
     )
     done_at: List[float] = [0.0] * len(requests)
 

@@ -2,29 +2,30 @@
 
 Request path::
 
-    submit() ──► result cache ──► bounded admission queue ──► batcher
-                                                                 │
-                       ┌─────────────────────────────────────────┤
-                       ▼                                         ▼
-               fused batch dispatch                    per-request dispatch
-          (lion/wls groups, one stacked IRLS)     (everything else, in turn)
+    submit() ──► bounded admission queue ──► batcher
+                                                │
+                    ┌───────────────────────────┤
+                    ▼                           ▼
+          fused batch dispatch           per-request dispatch
+     (two or more lion/wls requests,   (everything else and lone
+          one stacked IRLS)              requests, in turn)
 
 ``submit`` resolves the estimator config (failing fast on unknown names
-or bad configs), consults the LRU result cache, and enqueues into a
-bounded queue — at depth it raises :class:`QueueFullError` instead of
-buffering unboundedly, making backpressure the caller's explicit
-decision. A single batcher thread is work-conserving: the moment it is
-free it pops the head-of-line group ``(estimator, config_hash, dim)``
-together with every compatible request already queued (up to
-``max_batch_size``) and executes it — it never holds a request back
-waiting for batchmates. Under load, batches fill with the requests that
-queued behind the previous dispatch; an idle engine dispatches a lone
-request at once. Batchable groups run through the fused path of
-:mod:`repro.serve.batching`, scalar groups one request at a time with
-per-member exception isolation. Members whose fused slot failed — or
-whose whole batch raised unexpectedly — are retried individually on the
-scalar path, so one bad request degrades alone and the error a caller
-sees is exactly the scalar path's error.
+or bad configs) and enqueues into a bounded queue — at depth it raises
+:class:`QueueFullError` instead of buffering unboundedly, making
+backpressure the caller's explicit decision. A single batcher thread is
+work-conserving: the moment it is free it pops the head-of-line group
+``(estimator, config_hash, dim)`` together with every compatible request
+already queued (up to ``max_batch_size``) and executes it — it never
+holds a request back waiting for batchmates. Under load, batches fill
+with the requests that queued behind the previous dispatch; an idle
+engine dispatches a lone request at once. Batchable groups of two or
+more run through the fused path of :mod:`repro.serve.batching`;
+everything else runs one request at a time with per-member exception
+isolation. Members whose fused slot failed — or whose whole batch raised
+unexpectedly — are retried individually on the scalar path, so one bad
+request degrades alone and the error a caller sees is exactly the
+scalar path's error.
 
 Deadlines are enforced at dispatch time: an expired ticket gets
 :class:`DeadlineExceededError` without consuming solve time, and a
@@ -44,7 +45,6 @@ from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Deque,
@@ -56,9 +56,6 @@ from typing import (
     Tuple,
     cast,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.calib.resolver import CalibrationResolver
 
 from repro.core.batch_prepare import template_cache_info
 from repro.core.sweep import pair_cache_info
@@ -76,7 +73,6 @@ from repro.pipeline.contract import EstimationReport, EstimationRequest
 from repro.pipeline.estimators import LionEstimator
 from repro.pipeline.registry import create_estimator, resolve_config
 from repro.serve.batching import GroupKey, execute_batch, group_key, is_batchable
-from repro.serve.cache import CacheKey, ResultCache
 from repro.serve.errors import DeadlineExceededError, EngineClosedError, QueueFullError
 
 #: Histogram buckets for micro-batch occupancy (requests per dispatch).
@@ -127,23 +123,6 @@ class ServeConfig:
         max_batch_size: most requests fused into one dispatch. The
             batcher takes whatever compatible requests are queued when it
             is free, up to this bound; it never waits for more.
-        cache_entries: LRU result-cache capacity; ``0`` disables caching.
-        default_deadline_s: deadline applied to requests submitted
-            without one; ``None`` means no deadline.
-        fuse_singletons: dispatch batchable *singleton* groups through
-            the fused batch path too (identical answers — the batch
-            solver is pinned bit-identical). Only the fused path uses
-            the template and pair caches, so on a repeat geometry a
-            fused float64 singleton is about a fifth faster than the
-            scalar path (a lone 60-read portal request, in process on a
-            2-vCPU Xeon: ~0.83 ms against ~1.08 ms), while every
-            geometry that never repeats adds a template and a recipe to
-            those caches. Off by default, so lone requests stay
-            cache-independent. Turn it on for tracing-focused
-            deployments (every batchable request produces a
-            ``serve.batch`` span), for repeat-geometry traffic, and for
-            ``dtype="float32"`` engines, where the single-precision
-            kernel adds to the gain.
         dtype: numeric precision of the fused batch path. ``"float64"``
             (default) is bit-identical to the scalar estimator;
             ``"float32"`` runs batched preprocess, assembly, and the
@@ -152,14 +131,12 @@ class ServeConfig:
             bounded by property tests (~1e-4 m, far below the phase-noise
             floor). Members the float32 kernel cannot solve reliably
             degrade to exact scalar float64 solves, and the scalar
-            fallback / cache / error paths are precision-independent.
+            fallback and error paths are precision-independent. A lone
+            request always takes the scalar float64 path.
     """
 
     max_queue_depth: int = 256
     max_batch_size: int = 32
-    cache_entries: int = 128
-    default_deadline_s: Optional[float] = None
-    fuse_singletons: bool = False
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
@@ -167,12 +144,6 @@ class ServeConfig:
             raise ValueError(f"max_queue_depth must be positive, got {self.max_queue_depth}")
         if self.max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be positive, got {self.max_batch_size}")
-        if self.cache_entries < 0:
-            raise ValueError(f"cache_entries must be non-negative, got {self.cache_entries}")
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0.0:
-            raise ValueError(
-                f"default_deadline_s must be positive, got {self.default_deadline_s}"
-            )
         if self.dtype not in ("float64", "float32"):
             raise ValueError(
                 f"dtype must be 'float64' or 'float32', got {self.dtype!r}"
@@ -184,8 +155,7 @@ class Ticket:
 
     A thin, typed wrapper over :class:`concurrent.futures.Future`:
     :meth:`result` blocks for the report (re-raising the request's
-    failure), :meth:`cancel` withdraws a still-queued request. Tickets
-    resolved from the result cache are born completed.
+    failure), :meth:`cancel` withdraws a still-queued request.
     """
 
     __slots__ = ("_future",)
@@ -225,7 +195,6 @@ class _Item:
     name: str
     config: EstimatorConfig
     key: GroupKey
-    cache_key: CacheKey
     batchable: bool
     request: EstimationRequest
     future: "Future[EstimationReport]"
@@ -244,7 +213,6 @@ class _Stats:
     rejected: int = 0
     expired: int = 0
     cancelled: int = 0
-    cache_hits: int = 0
     batches: int = 0
     batched_requests: int = 0
     scalar_requests: int = 0
@@ -258,7 +226,6 @@ class _Stats:
             "rejected": self.rejected,
             "expired": self.expired,
             "cancelled": self.cancelled,
-            "cache_hits": self.cache_hits,
             "batches": self.batches,
             "batched_requests": self.batched_requests,
             "scalar_requests": self.scalar_requests,
@@ -275,28 +242,14 @@ class ServeEngine:
     ``start=False`` leaves the batcher stopped — queued items then only
     dispatch on :meth:`drain_once`, which tests use to pin batching
     decisions deterministically.
-
-    ``calibration`` (optional) is a
-    :class:`repro.calib.resolver.CalibrationResolver`; with one wired,
-    requests naming their ``antennas`` have calibrated centers and
-    offset corrections filled from the registry's latest committed
-    versions at submit time (generation-stamped cache, invalidated by
-    any store commit).
     """
 
-    def __init__(
-        self,
-        config: Optional[ServeConfig] = None,
-        start: bool = True,
-        calibration: Optional["CalibrationResolver"] = None,
-    ) -> None:
+    def __init__(self, config: Optional[ServeConfig] = None, start: bool = True) -> None:
         self.config = config or ServeConfig()
-        self._calibration = calibration
         self._queue: Deque[_Item] = deque()
         self._cv = threading.Condition()
         self._closed = False
         self._stats = _Stats()
-        self._cache = ResultCache(self.config.cache_entries)
         # (name, config-object) -> (resolved config, config hash). Config
         # resolution + fingerprinting are pure, and serving traffic reuses
         # a handful of config objects across millions of submits, so the
@@ -359,12 +312,6 @@ class ServeEngine:
         """
         if self._closed:
             raise EngineClosedError("engine is closed")
-        if self._calibration is not None and request.antennas is not None:
-            # Resolve named antennas into calibrated centers / offset
-            # corrections *before* fingerprinting, so the result cache
-            # keys on the resolved arrays — a recalibration commit
-            # changes the fingerprint and can never serve a stale hit.
-            request = self._calibration.resolve(request)
         memo_key: Optional[Tuple[str, Any]] = (name, config)
         try:
             memoized = self._config_memo.get(memo_key)
@@ -380,26 +327,12 @@ class ServeEngine:
                 self._config_memo[memo_key] = (resolved, config_hash)
         else:
             resolved, config_hash = memoized
-        cache_key: CacheKey = (name, config_hash, request.fingerprint())
         future: "Future[EstimationReport]" = Future()
-
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            with self._cv:
-                self._stats.submitted += 1
-                self._stats.cache_hits += 1
-            self._count_result("cache_hit")
-            future.set_result(cached)
-            return Ticket(future)
-
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
         now = time.monotonic()
         item = _Item(
             name=name,
             config=resolved,
             key=group_key(name, resolved, config_hash),
-            cache_key=cache_key,
             batchable=is_batchable(name, resolved),
             request=request,
             future=future,
@@ -481,7 +414,7 @@ class ServeEngine:
         self.close()
 
     def stats(self) -> Dict[str, Any]:
-        """Always-on counters plus queue depth and cache info.
+        """Always-on counters plus queue depth and geometry-cache info.
 
         ``template_cache`` / ``pair_cache`` report the process-wide
         geometry caches the fused batch path runs through
@@ -492,16 +425,9 @@ class ServeEngine:
         with self._cv:
             payload: Dict[str, Any] = self._stats.as_dict()
             payload["queue_depth"] = len(self._queue)
-        payload["cache"] = self._cache.info()
         payload["template_cache"] = _with_hit_rate(template_cache_info())
         payload["pair_cache"] = _with_hit_rate(pair_cache_info())
-        if self._calibration is not None:
-            payload["calibration"] = self._calibration.stats()
         return payload
-
-    def clear_cache(self) -> None:
-        """Drop every cached report (benchmark hygiene between phases)."""
-        self._cache.clear()
 
     # ------------------------------------------------------------------
     # batcher
@@ -587,7 +513,7 @@ class ServeEngine:
             return
         with self._cv:
             self._stats.batches += 1
-        if live[0].batchable and (len(live) > 1 or self.config.fuse_singletons):
+        if live[0].batchable and len(live) > 1:
             self._dispatch_batched(live)
         else:
             self._dispatch_scalar(live)
@@ -659,8 +585,7 @@ class ServeEngine:
                 self._resolve(item, report)
 
     def _resolve(self, item: _Item, report: EstimationReport) -> None:
-        """Cache and deliver one successful report."""
-        self._cache.put(item.cache_key, report)
+        """Deliver one successful report."""
         with self._cv:
             self._stats.completed += 1
         self._count_result("ok")

@@ -20,6 +20,27 @@ from repro.stream import StreamConfig
 #: in-process coverage, which tests and debugging want.
 WORKER_MODES = ("process", "thread")
 
+#: How long ``start`` (and ``restart_shard``) waits for a worker's ready
+#: handshake.
+READY_TIMEOUT_S = 60.0
+#: How long a drain waits for in-flight requests and each worker's
+#: closing engine drain before force-terminating.
+DRAIN_TIMEOUT_S = 30.0
+#: Request-body cap; a larger ``Content-Length`` gets 413.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Telemetry the ring buffer behind ``GET /debug/timeseries`` and
+#: ``GET /slo`` retains (and the default ``?window=`` of the former).
+HISTORY_WINDOW_S = 300.0
+#: Flight-recorder depth (stitched traces kept).
+RECORDER_CAPACITY = 64
+#: Cadence of the background sweep departing sessions idle past their
+#: ``depart_after_s``.
+SESSION_SWEEP_CADENCE_S = 1.0
+#: Staleness age budget of the fleet-health block of ``/statz`` and of
+#: ``GET /v1/calibrations`` (:class:`repro.calib.StalenessPolicy`
+#: ``max_age_s``).
+CALIBRATION_MAX_AGE_S = 24.0 * 3600.0
+
 
 @dataclass(frozen=True)
 class NetServeConfig:
@@ -45,29 +66,23 @@ class NetServeConfig:
             costs more than it saves).
         retry_after_s: hint returned with 429 responses (JSON field and
             the integer-rounded ``Retry-After`` header).
-        max_deadline_s: cap on client-supplied ``deadline_ms`` (and the
-            default when the engine has none); ``None`` means no cap.
+        max_deadline_s: cap on client-supplied ``deadline_ms``, and the
+            deadline of requests that send none; ``None`` means no cap
+            and no default.
         drain_grace_s: pause between flipping ``/readyz`` to 503 and
             closing the listener, so load balancers observe not-ready
             while the socket still accepts.
-        drain_timeout_s: how long drain waits for in-flight requests and
-            worker engine drains before force-terminating.
-        ready_timeout_s: how long ``start`` waits for every worker's
-            ready handshake.
         metrics: enable :mod:`repro.obs` metrics in the server process
             and every worker; ``GET /metrics`` merges them (process
             workers are labelled ``shard="i"``).
-        max_body_bytes: request-body cap; larger bodies get 413.
         tracing: enable span recording in the server and every worker —
             each ``/v1/locate`` request gets a stitched cross-process
             trace (ingress -> shard route -> worker dispatch -> solver)
             and the slow/errored ones land in the flight recorder at
             ``GET /debug/traces``.
         history_cadence_s: sampling interval of the telemetry ring
-            buffer behind ``GET /debug/timeseries`` and ``GET /slo``.
-        history_window_s: how much history the ring buffer retains (and
-            the default ``?window=`` of ``/debug/timeseries``).
-        recorder_capacity: flight-recorder depth (stitched traces kept).
+            buffer behind ``GET /debug/timeseries`` and ``GET /slo``
+            (at most :data:`HISTORY_WINDOW_S`).
         recorder_slow_ms: a traced request at least this slow is
             retained even when it succeeded; errored requests are always
             retained. ``0`` records everything (tests, trace smokes).
@@ -80,17 +95,16 @@ class NetServeConfig:
             ``POST /v1/sessions`` beyond it sheds with 429.
         stream: default :class:`repro.stream.StreamConfig` of sessions
             opened without per-session overrides.
-        session_sweep_cadence_s: cadence of the background idle sweep
-            departing sessions past their ``depart_after_s``.
         calibration_store: path of a :class:`repro.calib.CalibrationStore`
             directory; when set the front end opens it, serves
             ``GET/POST /v1/calibrations``, reports fleet health in
             ``/statz``, and resolves ``antennas`` on ``/v1/locate``
             requests into calibrated centers / offset corrections before
             routing. ``None`` (default) disables the calibration surface.
-        calibration_max_age_s: staleness age budget used by the fleet
-            health block of ``/statz`` (:class:`repro.calib.StalenessPolicy`
-            ``max_age_s``).
+
+    The timeouts, the body cap, the telemetry window, the recorder depth,
+    the session-sweep cadence and the calibration age budget are the
+    module constants above.
     """
 
     host: str = "127.0.0.1"
@@ -103,23 +117,16 @@ class NetServeConfig:
     retry_after_s: float = 0.05
     max_deadline_s: float | None = None
     drain_grace_s: float = 0.0
-    drain_timeout_s: float = 30.0
-    ready_timeout_s: float = 60.0
     metrics: bool = True
-    max_body_bytes: int = 8 * 1024 * 1024
     tracing: bool = True
     history_cadence_s: float = 1.0
-    history_window_s: float = 300.0
-    recorder_capacity: int = 64
     recorder_slow_ms: float = 250.0
     trace_dump_path: str = "lion-flight-recorder.json"
     slo_p99_ms: float = 250.0
     slo_error_rate: float = 0.01
     max_sessions: int = 1024
     stream: StreamConfig = field(default_factory=StreamConfig)
-    session_sweep_cadence_s: float = 1.0
     calibration_store: str | None = None
-    calibration_max_age_s: float = 24.0 * 3600.0
 
     def __post_init__(self) -> None:
         if self.shards <= 0:
@@ -142,24 +149,10 @@ class NetServeConfig:
             raise ValueError(f"max_deadline_s must be positive, got {self.max_deadline_s}")
         if self.drain_grace_s < 0:
             raise ValueError(f"drain_grace_s must be non-negative, got {self.drain_grace_s}")
-        if self.drain_timeout_s <= 0:
-            raise ValueError(f"drain_timeout_s must be positive, got {self.drain_timeout_s}")
-        if self.ready_timeout_s <= 0:
-            raise ValueError(f"ready_timeout_s must be positive, got {self.ready_timeout_s}")
-        if self.max_body_bytes <= 0:
-            raise ValueError(f"max_body_bytes must be positive, got {self.max_body_bytes}")
-        if self.history_cadence_s <= 0:
+        if not 0.0 < self.history_cadence_s <= HISTORY_WINDOW_S:
             raise ValueError(
-                f"history_cadence_s must be positive, got {self.history_cadence_s}"
-            )
-        if self.history_window_s < self.history_cadence_s:
-            raise ValueError(
-                f"history_window_s must be >= history_cadence_s, got "
-                f"{self.history_window_s} < {self.history_cadence_s}"
-            )
-        if self.recorder_capacity <= 0:
-            raise ValueError(
-                f"recorder_capacity must be positive, got {self.recorder_capacity}"
+                f"history_cadence_s must be in (0, {HISTORY_WINDOW_S}], got "
+                f"{self.history_cadence_s}"
             )
         if self.recorder_slow_ms < 0:
             raise ValueError(
@@ -173,13 +166,3 @@ class NetServeConfig:
             )
         if self.max_sessions <= 0:
             raise ValueError(f"max_sessions must be positive, got {self.max_sessions}")
-        if self.session_sweep_cadence_s <= 0:
-            raise ValueError(
-                f"session_sweep_cadence_s must be positive, got "
-                f"{self.session_sweep_cadence_s}"
-            )
-        if self.calibration_max_age_s <= 0:
-            raise ValueError(
-                f"calibration_max_age_s must be positive, got "
-                f"{self.calibration_max_age_s}"
-            )

@@ -96,7 +96,16 @@ from repro.obs import (
     request_id_from_headers,
     tracing_enabled,
 )
-from repro.serve.net.config import NetServeConfig
+from repro.serve.net.config import (
+    CALIBRATION_MAX_AGE_S,
+    DRAIN_TIMEOUT_S,
+    HISTORY_WINDOW_S,
+    MAX_BODY_BYTES,
+    READY_TIMEOUT_S,
+    RECORDER_CAPACITY,
+    SESSION_SWEEP_CADENCE_S,
+    NetServeConfig,
+)
 from repro.serve.net.protocol import (
     BadRequestError,
     LocateCall,
@@ -232,10 +241,10 @@ class NetServer:
         )
         self._session_drain: Optional[Dict[str, Any]] = None
         self._sweep_task: Optional["asyncio.Task[None]"] = None
-        capacity = int(math.ceil(config.history_window_s / config.history_cadence_s)) + 8
+        capacity = int(math.ceil(HISTORY_WINDOW_S / config.history_cadence_s)) + 8
         self._history = MetricsHistory(capacity=capacity)
         self._recorder = FlightRecorder(
-            capacity=config.recorder_capacity,
+            capacity=RECORDER_CAPACITY,
             slow_threshold_s=config.recorder_slow_ms / 1e3,
         )
         self._slo = SloTracker(
@@ -325,7 +334,7 @@ class NetServer:
             self._handle_connection,
             host=self.config.host,
             port=self.config.port,
-            limit=self.config.max_body_bytes + 65536,
+            limit=MAX_BODY_BYTES + 65536,
         )
         if self.config.metrics:
             self._sampler.start()
@@ -335,7 +344,7 @@ class NetServer:
         """Background idle sweep: depart sessions past ``depart_after_s``."""
         try:
             while True:
-                await asyncio.sleep(self.config.session_sweep_cadence_s)
+                await asyncio.sleep(SESSION_SWEEP_CADENCE_S)
                 await asyncio.to_thread(self._sessions.poll)
         except asyncio.CancelledError:
             pass
@@ -346,7 +355,7 @@ class NetServer:
         Sequence: flip ``/readyz`` to 503 -> ``drain_grace_s`` (load
         balancers observe not-ready while the socket still accepts) ->
         close the listener -> wait for in-flight exchanges (bounded by
-        ``drain_timeout_s``) -> drain the session manager (one final
+        ``DRAIN_TIMEOUT_S``) -> drain the session manager (one final
         windowed re-solve and a ``TagDeparted(reason="drain")`` per live
         session; the summary lands in :attr:`session_drain`) -> drain
         the supervisor and workers. Idempotent: a second call returns
@@ -366,7 +375,7 @@ class NetServer:
         # ``_idle`` wakes its waiter even if another exchange starts before
         # this coroutine resumes, so re-check the count: connections close
         # only once no dispatched request still owes its response.
-        deadline = time.monotonic() + self.config.drain_timeout_s
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         while self._inflight:
             try:
                 await asyncio.wait_for(self._idle.wait(), deadline - time.monotonic())
@@ -393,7 +402,7 @@ class NetServer:
 
     async def _wait_drained(self) -> None:
         """Second ``shutdown`` caller: poll until the first finishes."""
-        deadline = time.monotonic() + self.config.drain_timeout_s
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         while not self._drained and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
 
@@ -478,11 +487,11 @@ class NetServer:
             raise _HttpError(
                 400, "bad_request", f"bad Content-Length: {length_text!r}"
             ) from error
-        if length > self.config.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             raise _HttpError(
                 413,
                 "payload_too_large",
-                f"body of {length} bytes exceeds the {self.config.max_body_bytes} limit",
+                f"body of {length} bytes exceeds the {MAX_BODY_BYTES} limit",
             )
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
@@ -661,9 +670,7 @@ class NetServer:
         detail — ``GET /v1/calibrations`` carries the full table)."""
         if self._calib_store is None or self._calib_resolver is None:
             return {"enabled": False}
-        status = self._calib_store.fleet_status(
-            max_age_s=self.config.calibration_max_age_s
-        )
+        status = self._calib_store.fleet_status(max_age_s=CALIBRATION_MAX_AGE_S)
         return {
             "enabled": True,
             "generation": status["generation"],
@@ -727,11 +734,11 @@ class NetServer:
     def _resolve_call_calibration(self, call: LocateCall) -> LocateCall:
         """Resolve ``antennas`` into explicit arrays before routing.
 
-        Workers never see antenna names: the registry lives here in the
-        front end, so resolution must happen before the shard hop. The
-        resolved call is bit-identical to one the client could have sent
-        with explicit arrays — and caches identically in the workers'
-        engines, since the request fingerprint covers the arrays.
+        This is the one place antenna names become arrays. Workers never
+        see antenna names: the registry lives here in the front end, so
+        resolution must happen before the shard hop. The resolved call is
+        bit-identical to one the client could have sent with explicit
+        arrays (explicitly sent arrays win over the store's).
 
         Raises:
             BadRequestError: no calibration store is configured.
@@ -763,7 +770,7 @@ class NetServer:
         if self._calib_store is None:
             return 404, error_body("not_found", "no calibration store configured"), None
         status = await asyncio.to_thread(
-            self._calib_store.fleet_status, self.config.calibration_max_age_s
+            self._calib_store.fleet_status, CALIBRATION_MAX_AGE_S
         )
         return 200, status, None
 
@@ -782,7 +789,7 @@ class NetServer:
             return 404, error_body("not_found", "no calibration store configured"), None
         try:
             payload = json.loads(body)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as error:
             raise BadRequestError(f"body is not valid JSON: {error}") from error
         if not isinstance(payload, dict):
             raise BadRequestError("body must be a JSON object")
@@ -828,7 +835,7 @@ class NetServer:
             )
         except CorruptRecordError as error:
             raise BadRequestError(str(error)) from error
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise BadRequestError(f"malformed calibration payload: {error}") from error
         if metrics_enabled():
             get_registry().counter(
@@ -957,7 +964,7 @@ class NetServer:
     async def _debug_timeseries(
         self, query: str
     ) -> Tuple[int, Any, Optional[Dict[str, str]]]:
-        window_s = self.config.history_window_s
+        window_s = HISTORY_WINDOW_S
         params = parse_qs(query)
         if "window" in params:
             try:
@@ -1055,7 +1062,7 @@ class ServerHandle:
             daemon=True,
         )
         self._thread.start()
-        if not self._ready.wait(self.config.ready_timeout_s + 30.0):
+        if not self._ready.wait(READY_TIMEOUT_S + 30.0):
             raise RuntimeError("server did not come up in time")
         if self._error is not None:
             self._thread.join(timeout=5.0)

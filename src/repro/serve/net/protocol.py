@@ -55,10 +55,11 @@ ARRAY_FIELDS: Tuple[str, ...] = (
 #: Plain-value :class:`EstimationRequest` fields (wire: as-is).
 SCALAR_FIELDS: Tuple[str, ...] = ("radius_m", "bounds", "reference_index")
 
-#: String-tuple :class:`EstimationRequest` fields (wire: list of strings).
-#: ``antennas`` names registry entries a calibration-wired front end
-#: resolves into ``positions`` / ``offset_corrections_rad`` before
-#: routing; see :mod:`repro.calib.resolver`.
+#: String-tuple wire fields (list of strings), never passed on as
+#: :class:`EstimationRequest` fields: ``antennas`` names registry entries
+#: a calibration-wired front end resolves into ``positions`` /
+#: ``offset_corrections_rad`` before routing; see
+#: :mod:`repro.calib.resolver`.
 STRING_TUPLE_FIELDS: Tuple[str, ...] = ("antennas",)
 
 
@@ -92,11 +93,13 @@ def parse_locate_body(raw: bytes, max_deadline_s: Optional[float] = None) -> Loc
 
     Raises:
         BadRequestError: on any malformed input — the caller maps this
-            to 400 without touching the supervisor.
+            to 400 without touching the supervisor. That includes numbers
+            out of range for their field (a 400-digit integer, or ``1e400``
+            where an integer belongs) and JSON nested too deep to decode.
     """
     try:
         body = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as error:
         raise BadRequestError(f"body is not valid JSON: {error}") from error
     if not isinstance(body, dict):
         raise BadRequestError(f"body must be a JSON object, got {type(body).__name__}")
@@ -130,7 +133,7 @@ def parse_locate_body(raw: bytes, max_deadline_s: Optional[float] = None) -> Loc
             elif name == "exclude_mask":
                 dtype = bool
             arrays[name] = np.asarray(value, dtype=dtype)
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise BadRequestError(f"request field {name!r} is not array-like: {error}") from error
     scalars: Dict[str, Any] = {}
     for name in SCALAR_FIELDS:
@@ -142,7 +145,7 @@ def parse_locate_body(raw: bytes, max_deadline_s: Optional[float] = None) -> Loc
             scalars["bounds"] = tuple(
                 (float(low), float(high)) for low, high in scalars["bounds"]
             )
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise BadRequestError(f"'bounds' must be [[low, high], ...]: {error}") from error
     for name in STRING_TUPLE_FIELDS:
         value = request_fields.get(name)
@@ -163,9 +166,12 @@ def parse_locate_body(raw: bytes, max_deadline_s: Optional[float] = None) -> Loc
     if deadline_ms is not None:
         if not isinstance(deadline_ms, (int, float)) or isinstance(deadline_ms, bool):
             raise BadRequestError("'deadline_ms' must be a number")
-        if deadline_ms <= 0:
+        if not deadline_ms > 0:  # NaN too: it would never expire, cap or not
             raise BadRequestError(f"'deadline_ms' must be positive, got {deadline_ms}")
-        deadline_s = float(deadline_ms) / 1e3
+        try:
+            deadline_s = float(deadline_ms) / 1e3
+        except OverflowError as error:
+            raise BadRequestError(f"'deadline_ms' is out of range: {error}") from error
     if max_deadline_s is not None:
         deadline_s = max_deadline_s if deadline_s is None else min(deadline_s, max_deadline_s)
 

@@ -54,7 +54,7 @@ def parse_session_create(
     """
     try:
         body = json.loads(raw) if raw else {}
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as error:
         raise BadRequestError(f"body is not valid JSON: {error}") from error
     if not isinstance(body, dict):
         raise BadRequestError(f"body must be a JSON object, got {type(body).__name__}")
@@ -101,7 +101,9 @@ def parse_reads_ndjson(raw: bytes) -> List[Read]:
     <rad>}``. Blank lines are skipped (a trailing newline is fine).
 
     Raises:
-        BadRequestError: on malformed lines or an empty chunk.
+        BadRequestError: on malformed lines (numbers out of float range
+            and JSON nested too deep to decode included) or an empty
+            chunk.
     """
     reads: List[Read] = []
     for number, line in enumerate(raw.splitlines(), start=1):
@@ -109,7 +111,7 @@ def parse_reads_ndjson(raw: bytes) -> List[Read]:
             continue
         try:
             record = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as error:
             raise BadRequestError(f"line {number} is not valid JSON: {error}") from error
         if not isinstance(record, dict):
             raise BadRequestError(f"line {number} must be a JSON object")
@@ -119,7 +121,7 @@ def parse_reads_ndjson(raw: bytes) -> List[Read]:
         try:
             timestamp = float(record["t"])
             phase = float(record["phase"])
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise BadRequestError(
                 f"line {number} needs numeric 't' and 'phase': {error}"
             ) from error
@@ -132,7 +134,13 @@ def parse_reads_ndjson(raw: bytes) -> List[Read]:
             raise BadRequestError(
                 f"line {number} 'position' must be a 2- or 3-element number array"
             )
-        reads.append((timestamp, [float(value) for value in position], phase))
+        try:
+            coordinates = [float(value) for value in position]
+        except OverflowError as error:
+            raise BadRequestError(
+                f"line {number} 'position' is out of range: {error}"
+            ) from error
+        reads.append((timestamp, coordinates, phase))
     if not reads:
         raise BadRequestError("reads chunk is empty")
     return reads

@@ -40,7 +40,7 @@ from repro.serve.errors import (
     RemoteEstimationError,
     WorkerDiedError,
 )
-from repro.serve.net.config import NetServeConfig
+from repro.serve.net.config import DRAIN_TIMEOUT_S, READY_TIMEOUT_S, NetServeConfig
 from repro.serve.net.protocol import LocateCall
 from repro.serve.net.worker import WireRequest, WireResponse, WorkerConfig, worker_main
 
@@ -129,13 +129,13 @@ class ShardSupervisor:
         self._started = True
         for index in range(self.config.shards):
             self._workers.append(self._spawn_worker(index))
-        deadline = time.monotonic() + self.config.ready_timeout_s
+        deadline = time.monotonic() + READY_TIMEOUT_S
         for worker in self._workers:
             if not worker.ready.wait(max(deadline - time.monotonic(), 0.0)):
                 self.close()
                 raise RuntimeError(
                     f"shard {worker.index} missed the ready handshake within "
-                    f"{self.config.ready_timeout_s:.1f}s"
+                    f"{READY_TIMEOUT_S:.1f}s"
                 )
 
     def _spawn_worker(self, index: int) -> _Worker:
@@ -146,7 +146,6 @@ class ShardSupervisor:
             engine=self.config.engine,
             metrics=self.config.metrics,
             tracing=self.config.tracing,
-            drain_timeout_s=self.config.drain_timeout_s,
         )
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         runner: Any
@@ -213,7 +212,7 @@ class ShardSupervisor:
             old.receiver.join(timeout=5.0)
         replacement = self._spawn_worker(index)
         self._workers[index] = replacement
-        budget = self.config.ready_timeout_s if timeout is None else timeout
+        budget = READY_TIMEOUT_S if timeout is None else timeout
         if not replacement.ready.wait(budget):
             replacement.dead = True
             raise RuntimeError(
@@ -244,7 +243,7 @@ class ShardSupervisor:
         call twice; the second call returns the recorded stats.
         """
         self._draining = True
-        budget = self.config.drain_timeout_s if timeout is None else timeout
+        budget = DRAIN_TIMEOUT_S if timeout is None else timeout
         deadline = time.monotonic() + budget
         for worker in self._workers:
             if worker.dead or worker.drained.is_set():

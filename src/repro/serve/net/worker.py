@@ -40,6 +40,7 @@ from repro.obs import (
 from repro.parallel import SharedArraySpec, attach_shared_arrays, detach_shared_arrays
 from repro.pipeline.contract import EstimationReport, EstimationRequest
 from repro.serve.engine import ServeConfig, ServeEngine
+from repro.serve.net.config import DRAIN_TIMEOUT_S
 from repro.serve.errors import (
     DeadlineExceededError,
     EngineClosedError,
@@ -63,14 +64,12 @@ class WorkerConfig:
         tracing: enable :mod:`repro.obs` span recording; dispatch spans
             of traced requests ship back on the response payload so the
             front end stitches them into one cross-process trace.
-        drain_timeout_s: bound on the closing engine drain.
     """
 
     shard_index: int
     engine: ServeConfig = field(default_factory=ServeConfig)
     metrics: bool = True
     tracing: bool = False
-    drain_timeout_s: float = 30.0
 
 
 @dataclass(frozen=True)
@@ -258,7 +257,7 @@ def worker_main(conn: Connection, config: WorkerConfig) -> None:
             elif isinstance(message, tuple) and message and message[0] == "drain":
                 break
     finally:
-        clean = engine.close(timeout=config.drain_timeout_s)
+        clean = engine.close(timeout=DRAIN_TIMEOUT_S)
         stats = engine.stats()
         stats["shard"] = config.shard_index
         stats["drained_clean"] = clean

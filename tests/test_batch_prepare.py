@@ -385,22 +385,6 @@ class TestPrepareCopyContract:
         _assert_scan_equal(two_step, direct)
 
 
-class TestFingerprintCache:
-    def test_fingerprint_computed_once(self):
-        request = _line_request(seed=14)
-        first = request.fingerprint()
-        assert request.fingerprint() is first  # cached object, not recomputed
-
-    def test_equal_content_equal_fingerprint(self):
-        a = _line_request(seed=15)
-        b = EstimationRequest(
-            positions=a.positions.copy(), phases_rad=a.phases_rad.copy()
-        )
-        c = _line_request(seed=16)
-        assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() != c.fingerprint()
-
-
 class TestServeIntegration:
     def test_dtype_knob_validated(self):
         assert ServeConfig(dtype="float32").dtype == "float32"
@@ -408,7 +392,7 @@ class TestServeIntegration:
             ServeConfig(dtype="float16")
 
     def test_engine_float32_end_to_end(self):
-        config = ServeConfig(dtype="float32", cache_entries=0)
+        config = ServeConfig(dtype="float32")
         requests = [_line_request(seed=s) for s in range(6)]
         with ServeEngine(config) as engine:
             tickets = [engine.submit("lion", request) for request in requests]
@@ -420,20 +404,26 @@ class TestServeIntegration:
         assert {"hits", "misses", "hit_rate"} <= set(stats["template_cache"])
         assert {"hits", "misses", "hit_rate"} <= set(stats["pair_cache"])
 
-    def test_single_request_dispatch_warms_template_cache(self):
-        """The streaming windowed re-solve path (engine.submit of one
-        request at a time) rides the template cache under
-        ``fuse_singletons`` — and at load, singleton re-solves batch up
-        with concurrent traffic and ride it regardless."""
-        with ServeEngine(ServeConfig(cache_entries=0, fuse_singletons=True)) as engine:
+    def test_lone_requests_take_the_scalar_path(self):
+        """A lone request is a plain ``estimate()`` that never touches the
+        template cache; requests queued together fuse and ride it."""
+        with ServeEngine(ServeConfig()) as engine:
             engine.submit("lion", _line_request(seed=20)).result(timeout=30.0)
             engine.submit("lion", _line_request(seed=21)).result(timeout=30.0)
+        stats = engine.stats()
+        assert stats["scalar_requests"] == 2 and stats["batched_requests"] == 0
+        assert template_cache_info()["misses"] == template_cache_info()["hits"] == 0
+        with ServeEngine(ServeConfig(), start=False) as engine:
+            engine.submit("lion", _line_request(seed=20))
+            engine.submit("lion", _line_request(seed=21))
+            assert engine.drain_once() == 2
+        assert engine.stats()["batched_requests"] == 2
         info = template_cache_info()
         assert info["misses"] == 1
         assert info["hits"] >= 1
 
     def test_stats_hit_rate_none_before_traffic(self):
-        with ServeEngine(ServeConfig(cache_entries=0)) as engine:
+        with ServeEngine(ServeConfig()) as engine:
             stats = engine.stats()
         assert stats["template_cache"]["hit_rate"] is None
 

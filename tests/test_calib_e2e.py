@@ -5,17 +5,19 @@ calibrations seeded through the scheduler, truth drifted by the
 simulator, staleness detected from *real* :mod:`repro.stream` drift
 alarms on a live :class:`EventBus`, repair fanned through the
 ``process`` executor, commits persisted across a store reopen, and the
-serving engine resolving named antennas to positions **bit-identical**
-to hand-running :func:`calibrate_antenna` + the registry estimator on
-explicit arrays. Also covers mixed-version pinned reads (old and new
-calibrations localized together).
+HTTP front end resolving named antennas on ``POST /v1/locate`` to
+positions **bit-identical** to hand-running :func:`calibrate_antenna` +
+the registry estimator on explicit arrays. Also covers mixed-version
+pinned reads (old and new calibrations localized together).
 """
+
+import http.client
+import json
 
 import numpy as np
 
 from repro import pipeline
 from repro.calib import (
-    CalibrationResolver,
     CalibrationStore,
     DriftMonitor,
     RecalibrationScheduler,
@@ -24,7 +26,7 @@ from repro.calib import (
 )
 from repro.core.calibration import calibrate_antenna, relative_phase_offsets
 from repro.datasets.fleet import AntennaFleet, FleetDriftConfig
-from repro.serve import ServeConfig, ServeEngine
+from repro.serve.net import NetServeConfig, ServerHandle
 from repro.stream import CalibrationDriftAlarm, EventBus
 
 FLEET_SIZE = 10
@@ -35,6 +37,16 @@ GRID = {"grid_size_m": 0.01}
 
 def _bounds(tag, half=0.12):
     return tuple((coord - half, coord + half) for coord in tag)
+
+
+def _http(port, method, path, body=None):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+    try:
+        conn.request(method, path, body=body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 def _direct_calibrations(fleet, salt):
@@ -130,25 +142,36 @@ class TestFleetLoop:
             GRID,
         )
 
-        # -- serve: named antennas resolve from the store ---------------
-        resolver = CalibrationResolver(reopened)
-        with ServeEngine(ServeConfig(), start=False, calibration=resolver) as engine:
-            ticket = engine.submit(
-                "lion-multiantenna",
-                pipeline.EstimationRequest(
-                    antennas=fleet.names, phases_rad=phases, bounds=bounds
-                ),
-                GRID,
+        # -- serve: the front end resolves named antennas from the store -
+        config = NetServeConfig(
+            port=0,
+            shards=1,
+            worker_mode="thread",
+            calibration_store=str(tmp_path / "fleet"),
+        )
+        body = {
+            "estimator": "lion-multiantenna",
+            "config": GRID,
+            "request": {
+                "antennas": list(fleet.names),
+                "phases_rad": phases.tolist(),
+                "bounds": [list(axis) for axis in bounds],
+            },
+        }
+        with ServerHandle(config) as handle:
+            status, served = _http(
+                handle.port, "POST", "/v1/locate", json.dumps(body).encode()
             )
-            assert engine.drain_once() == 1
-            served = ticket.result(timeout=0)
-        assert np.array_equal(served.position, expected.position)
-        assert served.config_hash == expected.config_hash
+            assert status == 200
+            _, statz = _http(handle.port, "GET", "/statz")
+        position = np.asarray(served["position"])
+        assert np.array_equal(position, expected.position)
+        assert served["config_hash"] == expected.config_hash
         # The recalibrated fleet actually localizes the tag.
-        assert np.linalg.norm(served.position - np.asarray(TAG)) < 0.05
-        stats = engine.stats()["calibration"]
-        assert stats["generation"] == reopened.generation
-        assert stats["misses"] >= 1
+        assert np.linalg.norm(position - np.asarray(TAG)) < 0.05
+        resolver = statz["calibration"]["resolver"]
+        assert resolver["generation"] == reopened.generation
+        assert resolver["misses"] >= 1
 
     def test_mixed_version_localization_from_store(self, tmp_path):
         fleet = AntennaFleet(FleetDriftConfig(size=4, seed=3))

@@ -120,6 +120,8 @@ class TestCalibrationRoutes:
             json.dumps({"antenna": "a"}).encode(),
             _commit_body("a", "not-a-number"),
             _commit_body("a", 1.0, expected_version="later"),
+            pytest.param(_commit_body("a", 10**400), id="huge-offset"),
+            pytest.param(b"[" * 100_000, id="deep-nesting"),
         ],
     )
     def test_commit_malformed_400(self, server, body):

@@ -3,8 +3,9 @@
 The tool also runs standalone in CI's lint job; these tests keep its
 verdict correct in both directions — the tree is currently clean, and a
 sneaky import (even a lazy one inside a function) is caught: a solver
-import in the harness, an upward import in core or baselines, or a
-serving import in the session layer.
+import in the harness, an upward import in core or baselines, a
+serving import in the session layer, or a calibration-registry import
+in the serving engine.
 """
 
 import importlib.util
@@ -191,4 +192,52 @@ class TestStreamLayering:
             "import-hygiene violations:",
             "  src/repro/stream/manager.py:3: imports 'repro.serve.engine'; "
             "repro.serve.net imports the session layer, which may not import it back",
+        ]
+
+
+class TestCalibLayering:
+    """The calibration rule: only the HTTP front end and the CLI import it."""
+
+    def test_flags_calib_imports_only(self):
+        assert hygiene._is_calib("repro.calib")
+        assert hygiene._is_calib("repro.calib.resolver")
+        assert not hygiene._is_calib("repro.calibration")
+        assert not hygiene._is_calib("repro.core.calibration")
+
+    def test_gate_exempts_only_the_front_end_and_cli(self):
+        relative = {
+            path.relative_to(hygiene.SRC).as_posix()
+            for path in hygiene.calib_gated_files()
+        }
+        assert "repro/cli.py" not in relative
+        assert not any(name.startswith("repro/calib/") for name in relative)
+        assert not any(name.startswith("repro/serve/net/") for name in relative)
+        # The engine and the rest of repro.serve are gated now.
+        assert "repro/serve/engine.py" in relative
+        assert "repro/serve/batching.py" in relative
+        assert "repro/pipeline/contract.py" in relative
+
+    def test_flags_annotation_only_import_in_engine(self, tmp_path, monkeypatch, capsys):
+        # A synthetic tree whose serving engine imports the resolver for
+        # annotations only, beside a front end that may import it: the
+        # gate reports exactly the engine's line.
+        repro = tmp_path / "src" / "repro"
+        (repro / "serve" / "net").mkdir(parents=True)
+        (repro / "cli.py").write_text("import repro.calib\n")
+        (repro / "serve" / "net" / "http.py").write_text(
+            "from repro.calib import CalibrationResolver\n"
+        )
+        (repro / "serve" / "engine.py").write_text(
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.calib.resolver import CalibrationResolver\n"
+        )
+        monkeypatch.setattr(hygiene, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(hygiene, "SRC", tmp_path / "src")
+        assert hygiene.main() == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            "import-hygiene violations:",
+            "  src/repro/serve/engine.py:3: imports 'repro.calib.resolver'; "
+            "only repro.serve.net and the CLI may import the calibration registry",
         ]

@@ -30,7 +30,6 @@ from repro.serve import (
     DeadlineExceededError,
     EngineClosedError,
     QueueFullError,
-    ResultCache,
     ServeConfig,
     ServeEngine,
     is_batchable,
@@ -101,14 +100,14 @@ class TestWorkConserving:
         # An idle engine must not hold a lone batchable request back for
         # batchmates: it resolves well inside a 1.5 ms deadline.
         monkeypatch.setattr(engine_module, "time", _TickingClock())
-        with ServeEngine(ServeConfig(cache_entries=0)) as engine:
+        with ServeEngine(ServeConfig()) as engine:
             ticket = engine.submit("lion", _request(0), deadline_s=0.0015)
             report = ticket.result(timeout=60)
         _assert_reports_identical(report, estimate("lion", _request(0)))
 
     def test_requests_queued_behind_a_dispatch_fuse_into_the_next(self):
         requests = [_request(seed) for seed in range(6)]
-        with ServeEngine(ServeConfig(max_batch_size=8, cache_entries=0)) as engine:
+        with ServeEngine(ServeConfig(max_batch_size=8)) as engine:
             busy, release, sizes = _gate_dispatch(engine)
             try:
                 first = engine.submit("lion", requests[0])
@@ -221,14 +220,6 @@ class TestDeadlines:
             doomed.result(timeout=0)
         _assert_reports_identical(alive.result(timeout=0), estimate("lion", healthy))
 
-    def test_default_deadline_from_config(self):
-        config = ServeConfig(default_deadline_s=1e-4)
-        with ServeEngine(config, start=False) as engine:
-            ticket = engine.submit("lion", _request(0))
-            time.sleep(0.01)
-            engine.drain_once()
-            assert isinstance(ticket.exception(timeout=0), DeadlineExceededError)
-
     def test_cancel_while_queued(self):
         with ServeEngine(start=False) as engine:
             ticket = engine.submit("lion", _request(0))
@@ -269,48 +260,19 @@ class TestMemberIsolation:
                 engine.submit("no-such-method", _request(0))
 
 
-class TestResultCache:
-    def test_repeat_request_hits_cache(self):
+class TestRepeatRequests:
+    def test_repeat_request_is_solved_again(self):
+        # The engine keeps no results: an identical request is a new solve
+        # with the same answer.
         request = _request(7)
-        with ServeEngine(ServeConfig(cache_entries=8)) as engine:
+        with ServeEngine(ServeConfig()) as engine:
             first = engine.estimate("lion", request)
             second = engine.estimate("lion", request)
-        assert second is first
-        assert engine.stats()["cache_hits"] == 1
-
-    def test_cache_disabled_by_zero_entries(self):
-        request = _request(7)
-        with ServeEngine(ServeConfig(cache_entries=0)) as engine:
-            engine.estimate("lion", request)
-            engine.estimate("lion", request)
-        assert engine.stats()["cache_hits"] == 0
-
-    def test_config_change_misses(self):
-        request = _request(7)
-        with ServeEngine(ServeConfig(cache_entries=8)) as engine:
-            engine.estimate("lion", request)
-            engine.estimate("lion", request, config={"interval_m": 0.2})
-        assert engine.stats()["cache_hits"] == 0
-
-    def test_lru_eviction_order(self):
-        cache = ResultCache(max_entries=2)
-        reports = {
-            key: estimate("lion", _request(seed))
-            for seed, key in enumerate(["a", "b", "c"])
-        }
-        cache.put(("lion", "h", "a"), reports["a"])
-        cache.put(("lion", "h", "b"), reports["b"])
-        assert cache.get(("lion", "h", "a")) is reports["a"]  # refresh a
-        cache.put(("lion", "h", "c"), reports["c"])  # evicts b
-        assert cache.get(("lion", "h", "b")) is None
-        assert cache.get(("lion", "h", "a")) is reports["a"]
-        assert cache.info()["size"] == 2
-
-    def test_fingerprint_is_content_based(self):
-        first, second = _request(9), _request(9)
-        assert first is not second
-        assert first.fingerprint() == second.fingerprint()
-        assert first.fingerprint() != _request(10).fingerprint()
+        assert second is not first
+        _assert_reports_identical(second, first)
+        stats = engine.stats()
+        assert stats["submitted"] == stats["completed"] == stats["scalar_requests"] == 2
+        assert "cache" not in stats and "cache_hits" not in stats
 
 
 class TestConcurrency:
@@ -318,7 +280,7 @@ class TestConcurrency:
         requests = [_request(seed) for seed in range(16)]
         expected = [estimate("lion", request) for request in requests]
         reports = [None] * len(requests)
-        with ServeEngine(ServeConfig(max_batch_size=8, cache_entries=0)) as engine:
+        with ServeEngine(ServeConfig(max_batch_size=8)) as engine:
 
             def submitter(offset):
                 for index in range(offset, len(requests), 4):
@@ -425,20 +387,30 @@ class TestConfigValidation:
         [
             {"max_queue_depth": 0},
             {"max_batch_size": 0},
-            {"cache_entries": -1},
+            {"max_batch_size": -1},
             {"dtype": "float16"},
-            {"default_deadline_s": 0.0},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
 
-    @pytest.mark.parametrize("key", ["scalar_executor", "jobs"])
+    @pytest.mark.parametrize(
+        "key",
+        ["scalar_executor", "jobs", "cache_entries", "default_deadline_s", "fuse_singletons"],
+    )
     def test_removed_executor_keys_rejected(self, key):
-        # The scalar path runs serially; its executor options are gone.
+        # The scalar path runs serially and every request is solved alone
+        # or fused with its queued batchmates; deadlines come per request.
         with pytest.raises(TypeError, match=key):
             ServeConfig(**{key: "thread" if key == "scalar_executor" else 2})
+
+    def test_engine_takes_no_calibration_resolver(self):
+        # Antenna names become arrays in the HTTP front end only.
+        with pytest.raises(TypeError, match="calibration"):
+            ServeEngine(ServeConfig(), start=False, calibration=None)
+        with pytest.raises(TypeError, match="antennas"):
+            EstimationRequest(antennas=("a", "b"))
 
 
 class TestMapCatching:
@@ -475,4 +447,5 @@ class TestLoad:
         ours = build_requests(3, 50, seed=1)
         theirs = build_requests(3, 50, seed=1)
         for a, b in zip(ours, theirs):
-            assert a.fingerprint() == b.fingerprint()
+            assert np.array_equal(a.positions, b.positions)
+            assert np.array_equal(a.phases_rad, b.phases_rad)

@@ -20,23 +20,60 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
-from repro.pipeline import EstimationRequest, estimate
-from repro.serve import ServeConfig
+from repro.pipeline import EstimationReport, EstimationRequest, create_estimator, estimate
+from repro.serve import execute_batch
 from repro.serve.bench import build_requests
 from repro.serve.net import (
     BadRequestError,
+    LocateCall,
     NetServeConfig,
     NetServer,
     ServerHandle,
     WireRequest,
     WireResponse,
     WorkerConfig,
+    encode_report_payload,
     parse_locate_body,
     shard_for,
     worker_main,
 )
+from repro.serve.net.protocol import ARRAY_FIELDS, SCALAR_FIELDS, STRING_TUPLE_FIELDS
+from repro.serve.net.worker import report_payload
+
+#: Any JSON value the wire can carry. Python's ``json`` reads integers of
+#: any size and ``NaN`` / ``Infinity`` too, so both are in.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+#: A locate body whose request fields and serving controls hold any JSON.
+_LOCATE_BODY = st.builds(
+    lambda fields, controls: {"estimator": "lion", "request": fields, **controls},
+    st.dictionaries(
+        st.sampled_from(ARRAY_FIELDS + SCALAR_FIELDS + STRING_TUPLE_FIELDS),
+        _JSON,
+        max_size=4,
+    ),
+    st.fixed_dictionaries(
+        {},
+        optional={"config": _JSON, "deadline_ms": _JSON, "include_residuals": _JSON},
+    ),
+)
+
+#: 400 nines: out of float range, and of every integer dtype.
+_HUGE = "9" * 400
 
 
 def _scan(seed=0, reads=64):
@@ -148,13 +185,34 @@ class TestParseLocateBody:
             b'{"estimator": "lion", "request": {"positions": [], "beams": 3}}',
             b'{"estimator": "lion", "request": {"positions": [["x", 1]]}}',
             b'{"estimator": "lion", "request": {"bounds": 4}}',
+            # Numbers out of range for their field, and nesting too deep.
+            pytest.param(
+                b'{"estimator": "lion", "request": {"segment_ids": [1e400]}}',
+                id="inf-segment-id",
+            ),
+            pytest.param(
+                f'{{"estimator": "lion", "request": {{"phases_rad": [{_HUGE}]}}}}'.encode(),
+                id="huge-phase",
+            ),
+            pytest.param(
+                f'{{"estimator": "lion", "request": {{"run_ids": [{_HUGE}]}}}}'.encode(),
+                id="huge-run-id",
+            ),
+            pytest.param(
+                f'{{"estimator": "lion", "request": {{"bounds": [[{_HUGE}, 1]]}}}}'.encode(),
+                id="huge-bound",
+            ),
+            pytest.param(b"[" * 100_000, id="deep-nesting"),
         ],
     )
     def test_malformed_bodies_rejected(self, raw):
         with pytest.raises(BadRequestError):
             parse_locate_body(raw)
 
-    @pytest.mark.parametrize("deadline", ["soon", True, 0, -5])
+    @pytest.mark.parametrize(
+        "deadline",
+        ["soon", True, 0, -5, pytest.param(10**400, id="huge"), float("nan")],
+    )
     def test_bad_deadline_rejected(self, deadline):
         body = json.loads(_lion_body())
         body["deadline_ms"] = deadline
@@ -164,6 +222,15 @@ class TestParseLocateBody:
     def test_bad_include_residuals_rejected(self):
         with pytest.raises(BadRequestError):
             parse_locate_body(_lion_body(include_residuals="yes"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(body=_JSON | _LOCATE_BODY)
+    def test_any_body_parses_or_is_a_bad_request(self, body):
+        try:
+            call = parse_locate_body(json.dumps(body).encode(), max_deadline_s=5.0)
+        except BadRequestError:
+            return
+        assert isinstance(call, LocateCall)
 
 
 class TestShardRouting:
@@ -345,19 +412,28 @@ class TestHttpThreadMode:
         assert status == 504
         assert json.loads(raw)["error"]["kind"] == "deadline_exceeded"
 
+    def test_max_deadline_is_the_default_deadline(self):
+        # A body without ``deadline_ms`` gets ``max_deadline_s`` as its
+        # deadline, enforced by the worker's engine like a sent one.
+        with ServerHandle(_thread_config(shards=1, max_deadline_s=1e-5)) as handle:
+            status, _, raw = _post(handle.port, _lion_body(seed=17))
+        assert status == 504
+        assert json.loads(raw)["error"]["kind"] == "deadline_exceeded"
+
 
 class TestFloat32Locate:
     def test_float32_answers_carry_null_position_std(self):
-        config = _thread_config(
-            shards=1, engine=ServeConfig(dtype="float32", fuse_singletons=True)
-        )
-        with ServerHandle(config) as handle:
-            for body in (_circle_body()[1], _lion_body(seed=16)):
-                status, _, raw = _post(handle.port, body)
-                assert status == 200
-                diagnostics = json.loads(raw)["diagnostics"]
-                assert "position_std_m" in diagnostics
-                assert diagnostics["position_std_m"] is None
+        # The float32 batch path reports no standard error, so its
+        # answers carry ``position_std_m: null`` on the wire, full-rank
+        # scan or not.
+        requests = [_circle_body()[0], _scan(seed=16)]
+        reports = execute_batch(create_estimator("lion", None), requests, dtype="float32")
+        for report in reports:
+            assert isinstance(report, EstimationReport)
+            body = encode_report_payload(report_payload(report, False), 0, 1.0)
+            diagnostics = json.loads(json.dumps(body))["diagnostics"]
+            assert "position_std_m" in diagnostics
+            assert diagnostics["position_std_m"] is None
 
 
 class TestBackpressure:
@@ -498,7 +574,7 @@ class TestGracefulDrain:
             assert all(entry["drained_clean"] for entry in stats)
 
     def test_drain_mid_burst_loses_no_accepted_request(self):
-        config = _thread_config(shards=2, engine=ServeConfig(cache_entries=0))
+        config = _thread_config(shards=2)
         with ServerHandle(config) as handle:
             port = handle.port
             statuses = []
@@ -617,8 +693,6 @@ class TestRequestTracing:
             port=0,
             shards=2,
             worker_mode="process",
-            # Fused singletons so even one request takes the batch path.
-            engine=ServeConfig(fuse_singletons=True),
             recorder_slow_ms=0.0,  # record every request
             history_cadence_s=0.05,
         )
@@ -638,7 +712,8 @@ class TestRequestTracing:
                 assert status == 200
 
             # One stitched trace: ingress and shard-route spans from the
-            # server process, batch and solve spans from the worker.
+            # server process, the lone request's scalar dispatch and its
+            # solve spans from the worker.
             status, recorder = _get(handle.port, "/debug/traces")
             assert status == 200
             ours = [
@@ -649,7 +724,7 @@ class TestRequestTracing:
             assert len(ours) == 1
             assert ours[0]["status"] == 200 and ours[0]["route"] == "/v1/locate"
             names, pids = _span_names_and_pids(ours[0]["trace"])
-            assert {"serve.net.ingress", "serve.net.route", "serve.batch", "solve"} <= names
+            assert {"serve.net.ingress", "serve.net.route", "serve.scalar", "solve"} <= names
             assert len(pids) >= 2  # spans crossed the process boundary
             assert recorder["stats"]["recorded"] >= 7
 

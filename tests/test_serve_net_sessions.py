@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import LinearTrajectory, default_antenna, simulate_scan
 from repro.pipeline import estimate
@@ -23,6 +25,40 @@ from repro.serve.net import (
     parse_session_create,
 )
 from repro.stream import StreamConfig
+
+#: Any JSON value the wire can carry, huge integers and non-finite floats
+#: included (Python's ``json`` reads both).
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+
+#: Numbers of any size, non-finite floats included.
+_NUMBER = st.integers(min_value=-(10**400), max_value=10**400) | st.floats()
+
+#: One NDJSON line: a read-shaped record (mostly numbers, any JSON value
+#: in any field), any JSON value, or raw bytes.
+_LINE = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "t": _NUMBER | _JSON,
+            "phase": _NUMBER | _JSON,
+            "position": st.lists(_NUMBER, min_size=2, max_size=3) | _JSON,
+        },
+    ).map(lambda record: json.dumps(record).encode()),
+    _JSON.map(lambda value: json.dumps(value).encode()),
+    st.binary(max_size=24).filter(lambda raw: b"\n" not in raw and b"\r" not in raw),
+)
+
+#: 400 nines: out of float range.
+_HUGE = "9" * 400
 
 
 def _scan(seed=21):
@@ -108,6 +144,7 @@ class TestParseSessionCreate:
             json.dumps({"tag": "T", "stream": {"max_window_reads": 1}}).encode(),
             json.dumps({"tag": "T", "stream": []}).encode(),
             json.dumps({"tag": "T", "antenna": 3}).encode(),
+            pytest.param(b"[" * 100_000, id="deep-nesting"),
         ],
     )
     def test_bad_bodies_rejected(self, body):
@@ -139,11 +176,34 @@ class TestParseReadsNdjson:
             b'{"t": 0.0, "position": [0.1], "phase": 1.0}',
             b'{"t": 0.0, "position": "here", "phase": 1.0}',
             b'{"t": 0.0, "position": [0.1, "y"], "phase": 1.0}',
+            # Numbers out of float range, and nesting too deep.
+            pytest.param(
+                f'{{"t": {_HUGE}, "position": [0.1, 0.2], "phase": 1.0}}'.encode(),
+                id="huge-t",
+            ),
+            pytest.param(
+                f'{{"t": 0.0, "position": [0.1, 0.2], "phase": {_HUGE}}}'.encode(),
+                id="huge-phase",
+            ),
+            pytest.param(
+                f'{{"t": 0.0, "position": [0.1, {_HUGE}], "phase": 1.0}}'.encode(),
+                id="huge-position",
+            ),
+            pytest.param(b"[" * 100_000, id="deep-nesting"),
         ],
     )
     def test_bad_chunks_rejected(self, raw):
         with pytest.raises(BadRequestError):
             parse_reads_ndjson(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_LINE, max_size=4))
+    def test_any_ndjson_parses_or_is_a_bad_request(self, lines):
+        try:
+            reads = parse_reads_ndjson(b"\n".join(lines))
+        except BadRequestError:
+            return
+        assert reads and all(len(position) in (2, 3) for _, position, _ in reads)
 
 
 class TestSessionRoutes:

@@ -39,9 +39,10 @@ registry) likewise sits above the solver stack: it may import core /
 pipeline / parallel / datasets, but the estimation path must never
 depend on the registry — a solver works from explicit arrays whether or
 not a store exists. Within ``src/repro/``, only ``repro/calib/`` itself,
-``repro/serve/`` (engine resolver wiring and the HTTP face), and
+``repro/serve/net/`` (the HTTP front end, the one place antenna names
+become arrays, and the ``/v1/calibrations`` routes), and
 ``repro/cli.py`` (``lion calib`` / ``lion serve``) may import
-``repro.calib``.
+``repro.calib`` — not the serving engine, not even for annotations.
 
 Exits non-zero listing every violation.
 """
@@ -85,7 +86,7 @@ SERVE_PREFIX = "repro.serve"
 #: the layered package of the calibration rule.
 CALIB_PREFIX = "repro.calib"
 #: directories (relative to src/) whose files may import repro.calib.
-CALIB_ALLOWED_DIRS = ("repro/calib", "repro/serve")
+CALIB_ALLOWED_DIRS = ("repro/calib", "repro/serve/net")
 #: single files (relative to src/) that may import repro.calib.
 CALIB_ALLOWED_FILES = ("repro/cli.py",)
 
@@ -222,7 +223,7 @@ def check_stream_serve_file(path: Path) -> List[str]:
 def check_calib_file(path: Path) -> List[str]:
     """Calibration-layering violation messages for one file (empty when clean)."""
     return _violations(
-        path, _is_calib, "only repro.serve and the CLI may import the calibration registry"
+        path, _is_calib, "only repro.serve.net and the CLI may import the calibration registry"
     )
 
 
